@@ -22,6 +22,7 @@ import (
 
 	"repro/internal/checkpoint"
 	"repro/internal/dist"
+	"repro/internal/engine"
 	"repro/internal/experiments"
 	"repro/internal/program"
 	"repro/internal/smarts"
@@ -252,18 +253,17 @@ func BenchmarkEngineSerialVsParallel(b *testing.B) {
 	cfg := uarch.Config8Way()
 	plan := smarts.PlanForN(p.Length, 1000, smarts.RecommendedW(cfg), 400,
 		smarts.FunctionalWarming, 0)
+	bg := context.Background()
 	for i := 0; i < b.N; i++ {
-		plan.Parallelism = 1
 		start := time.Now()
-		serial, err := smarts.Run(p, cfg, plan)
+		serial, err := smarts.Run(bg, p, cfg, plan, smarts.EngineOptions{Workers: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
 		serialTime := time.Since(start)
 
-		plan.Parallelism = 4
 		start = time.Now()
-		par, err := smarts.Run(p, cfg, plan)
+		par, err := smarts.Run(bg, p, cfg, plan, smarts.EngineOptions{Workers: 4})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -283,9 +283,10 @@ func BenchmarkEngineSerialVsParallel(b *testing.B) {
 }
 
 // BenchmarkEnginePipelined tracks the streaming capture→replay
-// pipeline against PR 1's capture-then-replay schedule on the same
-// ≥1M-instruction sampling plan at 4 workers: pipelineSpeedupX is
-// two-phase wall clock over streamed wall clock (≥1 on multi-core —
+// pipeline against a capture-then-replay schedule (checkpoint.Capture,
+// then engine.RunSet) on the same ≥1M-instruction sampling plan at 4
+// workers: pipelineSpeedupX is two-phase wall clock over streamed wall
+// clock (≥1 on multi-core —
 // replay overlaps the sweep — and ~1 on a single-core runner), and
 // storeSpeedupX is the cold (sweep + save) wall clock over a
 // warm-checkpoint-store run that skips the sweep entirely. The store
@@ -307,18 +308,21 @@ func BenchmarkEnginePipelined(b *testing.B) {
 	plan := smarts.PlanForN(p.Length, 1000, smarts.RecommendedW(cfg), 400,
 		smarts.FunctionalWarming, 0)
 	opt := func() smarts.EngineOptions { return smarts.EngineOptions{Workers: 4} }
+	bg := context.Background()
 	for i := 0; i < b.N; i++ {
-		o := opt()
-		o.TwoPhase = true
 		start := time.Now()
-		twoPhase, err := smarts.RunSampled(p, cfg, plan, o)
+		set, err := checkpoint.Capture(bg, p, cfg, plan.CheckpointParams())
+		if err != nil {
+			b.Fatal(err)
+		}
+		twoPhase, err := engine.RunSet(bg, p, cfg, plan.U, set, engine.Options{Workers: 4})
 		if err != nil {
 			b.Fatal(err)
 		}
 		twoPhaseTime := time.Since(start)
 
 		start = time.Now()
-		streamed, err := smarts.RunSampled(p, cfg, plan, opt())
+		streamed, err := smarts.Run(bg, p, cfg, plan, opt())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -332,16 +336,16 @@ func BenchmarkEnginePipelined(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		o = opt()
+		o := opt()
 		o.Store = store
 		start = time.Now()
-		cold, err := smarts.RunSampled(p, cfg, sparse, o)
+		cold, err := smarts.Run(bg, p, cfg, sparse, o)
 		if err != nil {
 			b.Fatal(err)
 		}
 		coldTime := time.Since(start)
 		start = time.Now()
-		cached, err := smarts.RunSampled(p, cfg, sparse, o)
+		cached, err := smarts.Run(bg, p, cfg, sparse, o)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -351,9 +355,13 @@ func BenchmarkEnginePipelined(b *testing.B) {
 		}
 
 		if i == 0 {
-			tCPI := twoPhase.CPIEstimate(stats.Alpha997)
-			if got := streamed.CPIEstimate(stats.Alpha997); got != tCPI {
-				b.Fatalf("streamed schedule disagrees: %v vs %v", got, tCPI)
+			if len(twoPhase.Units) != len(streamed.Units) {
+				b.Fatalf("streamed schedule measured %d units, two-phase %d", len(streamed.Units), len(twoPhase.Units))
+			}
+			for u := range twoPhase.Units {
+				if tu, su := twoPhase.Units[u], streamed.Units[u]; tu.Index != su.Index || tu.Cycles != su.Cycles || tu.EnergyNJ != su.EnergyNJ {
+					b.Fatalf("streamed schedule disagrees at unit %d: %+v vs %+v", u, su, tu)
+				}
 			}
 			if cc, wc := cold.CPIEstimate(stats.Alpha997), cached.CPIEstimate(stats.Alpha997); cc != wc {
 				b.Fatalf("store cycle disagrees: %v vs %v", wc, cc)
@@ -419,7 +427,7 @@ func BenchmarkDistributedLoopback(b *testing.B) {
 	cache := checkpoint.NewMemCache()
 	local := func() (*smarts.Result, time.Duration) {
 		start := time.Now()
-		res, err := smarts.RunSampled(p, cfg, plan, smarts.EngineOptions{Workers: 4, Cache: cache})
+		res, err := smarts.Run(context.Background(), p, cfg, plan, smarts.EngineOptions{Workers: 4, Cache: cache})
 		if err != nil {
 			b.Fatal(err)
 		}

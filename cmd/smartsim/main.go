@@ -10,8 +10,13 @@
 //	smartsim -bench gccx -config 8-way -n 400
 //	smartsim -bench mcfx -u 1000 -w 2000 -warming functional -n 1000
 //	smartsim -bench ammpx -procedure -eps 0.03
-//	smartsim -bench gccx -n 2000 -parallel -1                      # engine across all cores
-//	smartsim -bench gccx -n 2000 -parallel -1 -ckpt-dir ~/.smarts  # sweep saved; reruns skip it
+//	smartsim -bench gccx -n 2000 -parallel 4             # engine with 4 replay workers
+//	smartsim -bench gccx -n 2000 -ckpt-dir ~/.smarts     # sweep saved; reruns skip it
+//	smartsim -bench gccx -warming detailed -w 4000       # in-place loop (paper Section 4.3)
+//
+// The warming mode picks the executor: functional warming runs on the
+// checkpointed engine with -parallel workers (default: one per core);
+// detailed and no warming run on the in-place loop.
 package main
 
 import (
@@ -43,7 +48,7 @@ func main() {
 		fatal(err)
 	}
 
-	sess, err := sim.Open(engine.SessionOptions("smartsim")...)
+	sess, err := sim.Open(engine.SessionOptions()...)
 	if err != nil {
 		fatal(err)
 	}

@@ -6,7 +6,11 @@
 //
 //	smartsweep -experiment fig6 -config 8-way -scale small
 //	smartsweep -experiment all -scale tiny
-//	smartsweep -experiment table5 -parallel -1 -ckpt-dir /tmp/ckpt   # sweeps persisted & reused
+//	smartsweep -experiment table5 -ckpt-dir /tmp/ckpt   # sweeps persisted & reused
+//
+// Functional-warming runs use the checkpointed engine with -parallel
+// workers (default: one per core); the detailed- and no-warming runs of
+// Table 4 use the in-place loop.
 package main
 
 import (
@@ -33,7 +37,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	sess, err := sim.Open(engine.SessionOptions("smartsweep")...)
+	sess, err := sim.Open(engine.SessionOptions()...)
 	if err != nil {
 		fatal(err)
 	}

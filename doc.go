@@ -23,9 +23,8 @@
 // Every path honors context cancellation and deadlines; sessions
 // deduplicate concurrent functional sweeps for the same checkpoint
 // key (singleflight) and emit typed progress events (sim.OnProgress).
-// The historical entry points in internal/smarts (Run, RunSampled,
-// RunSampledPhases, RunProcedure) remain as deprecated shims that
-// produce bit-identical results through the same mechanisms.
+// Underneath, every path calls the same internal/smarts entry points:
+// Run, RunPhases, and RunProcedureWith.
 //
 // # Architecture
 //
@@ -37,14 +36,23 @@
 // internal/program), the statistics machinery (internal/stats), and
 // the SimPoint baseline (internal/simpoint).
 //
-// Sampling runs execute either on the classic in-place serial loop
-// (sim.SerialLoop — the paper's original execution) or on the
-// checkpointed parallel engine: internal/checkpoint captures a launch
-// snapshot per sampling unit (architectural state, copy-on-write
-// memory image, functionally warmed cache/TLB/predictor tables) in one
-// functional sweep, and internal/engine replays the units across a
-// worker pool with deterministic stream-order aggregation — the same
-// estimate, bit for bit, at any worker count.
+// The warming mode picks the executor, and internal/smarts is the one
+// place that chooses. Functional warming — the paper's recommendation,
+// the default, and the only mode the fleet, the CLIs' defaults, and
+// the benchmarks exercise at scale — runs on the checkpointed parallel
+// engine: internal/checkpoint captures a launch snapshot per sampling
+// unit (architectural state, copy-on-write memory image, functionally
+// warmed cache/TLB/predictor tables) in one functional sweep, and
+// internal/engine replays the units across a worker pool with
+// deterministic stream-order aggregation — the same estimate, bit for
+// bit, at any worker count. No warming and detailed warming run on the
+// in-place serial loop, where each unit sees the stale state the
+// previous unit left behind; that is the paper's Section 4.3 semantics,
+// which a cold snapshot launch would not reproduce. Under functional
+// warming the two executors agree to within the in-order update gap
+// the paper treats as residual bias (measured across the suite by
+// internal/smarts TestEngineMatchesLoop), and the loop remains the
+// reference the engine is tested against.
 //
 // The engine is a streaming pipeline: the sweep hands each snapshot to
 // the workers the moment it is captured, so wall clock approaches
@@ -62,9 +70,11 @@
 // snapshot/delta-chain contract (internal/delta): dirty-block deltas
 // for the warmed structures, dirty-page deltas for memory, periodic
 // keyframes (sim.WithKeyframe, the CLIs' -keyframe) bounding
-// reconstruction chains, in memory and in the store's v3 format alike.
-// Every variant — streamed, two-phase, store-loaded, multi-offset,
-// cancelled-and-rerun — produces bit-identical estimates.
+// reconstruction chains, in memory and in the store's v4 format alike.
+// The store reads only its current format: an entry of any other
+// version is a miss that costs one re-sweep. Every variant — streamed,
+// captured first, store-loaded, multi-offset, cancelled-and-rerun —
+// produces bit-identical estimates.
 //
 // # Parallel sweeps and warming bias
 //
@@ -206,5 +216,5 @@
 // shows the concurrent session usage, examples/distributed the
 // loopback fleet), and the benchmarks in
 // bench_test.go regenerate every table and figure of the paper's
-// evaluation. See README.md, DESIGN.md, and EXPERIMENTS.md.
+// evaluation.
 package repro

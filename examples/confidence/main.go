@@ -34,7 +34,6 @@ func main() {
 			sim.Length(benchLen),
 			sim.Units(nInit),
 			sim.Calibrate(eps),
-			sim.SerialLoop(), // the paper's in-place execution
 		))
 		if err != nil {
 			log.Fatal(err)

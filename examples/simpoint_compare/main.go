@@ -50,12 +50,11 @@ func main() {
 		sel.K, spRes.CPI, 100*(spRes.CPI-truth)/truth, spRes.SimulatedInsts)
 
 	// SMARTS with the same detailed-instruction budget, through the
-	// service API (serial loop: the paper's execution).
+	// service API.
 	budgetUnits := spRes.SimulatedInsts / (1000 + sim.RecommendedW(cfg))
 	rep, err := sess.Run(ctx, sim.NewRequest(bench,
 		sim.Length(length),
 		sim.Units(budgetUnits),
-		sim.SerialLoop(),
 	))
 	if err != nil {
 		log.Fatal(err)

@@ -57,9 +57,9 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Wide unit spacing so warming windows never merge. The serial loop
-	// keeps the paper's in-place execution (units observe the previous
-	// unit's leftover state, the effect under study).
+	// Wide unit spacing so warming windows never merge. Runs without
+	// functional warming execute on the in-place loop, so units observe
+	// the previous unit's leftover state — the effect under study.
 	const n = 60
 	measure := func(mode sim.WarmingMode, w uint64) (float64, float64) {
 		rep, err := sess.Run(ctx, sim.NewRequest(bench,
@@ -67,7 +67,6 @@ func main() {
 			sim.Units(n),
 			sim.Warming(mode),
 			sim.Warmup(w),
-			sim.SerialLoop(),
 		))
 		if err != nil {
 			log.Fatal(err)

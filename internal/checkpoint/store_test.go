@@ -2,6 +2,7 @@ package checkpoint_test
 
 import (
 	"context"
+	"encoding/binary"
 
 	"os"
 	"path/filepath"
@@ -130,11 +131,48 @@ func TestStoreVersionAndCorruption(t *testing.T) {
 		t.Fatalf("want 1 store file, got %v (%v)", entries, err)
 	}
 
-	// Truncate the file: load must report a miss.
 	data, err := os.ReadFile(entries[0])
 	if err != nil {
 		t.Fatal(err)
 	}
+
+	// Only the writer's format version is read: an older (v3) or newer
+	// (v5) header is a miss, never an error — the store is a cache, and
+	// the cost is one re-sweep. The same holds for partial journals.
+	withVersion := func(b []byte, v uint32) []byte {
+		b = append([]byte(nil), b...)
+		binary.LittleEndian.PutUint32(b[8:12], v)
+		return b
+	}
+	for _, v := range []uint32{3, 5} {
+		if err := os.WriteFile(entries[0], withVersion(data, v), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := store.Load(key); err != nil || got != nil {
+			t.Fatalf("v%d entry must be a miss (got set=%v err=%v)", v, got != nil, err)
+		}
+	}
+	jparams := params
+	jparams.Keyframe = 1 // a resume frame after every unit
+	journalSweep(t, p, cfg, jparams, store, key, nil, 3)
+	partial := filepath.Join(dir, key.Hash()+".partial")
+	journal, err := os.ReadFile(partial)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rs, err := store.LoadPartial(key); err != nil || rs == nil {
+		t.Fatalf("intact journal unusable (rs=%v err=%v)", rs != nil, err)
+	}
+	for _, v := range []uint32{3, 5} {
+		if err := os.WriteFile(partial, withVersion(journal, v), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if rs, err := store.LoadPartial(key); err != nil || rs != nil {
+			t.Fatalf("v%d journal must be a miss (got state=%v err=%v)", v, rs != nil, err)
+		}
+	}
+
+	// Truncate the file: load must report a miss.
 	if err := os.WriteFile(entries[0], data[:len(data)/2], 0o644); err != nil {
 		t.Fatal(err)
 	}

@@ -70,8 +70,8 @@ func (e *rejectedError) Error() string { return e.err.Error() }
 func (e *rejectedError) Unwrap() error { return e.err }
 
 // Run executes one request on the coordinator. Requests the service
-// does not shard (experiments, procedures, multi-offset runs, the
-// serial loop) fail before touching the network. Cancellation sends
+// does not shard (experiments, procedures, multi-offset runs, runs
+// without functional warming) fail before touching the network. Cancellation sends
 // the coordinator a best-effort DELETE so it stops the shards.
 func (c *Client) Run(ctx context.Context, req *sim.Request) (*sim.Report, error) {
 	if ctx == nil {

@@ -1,7 +1,9 @@
 package dist
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -57,7 +59,7 @@ func baseline(t *testing.T, req *sim.Request) *smarts.Result {
 	prog := testProg(t)
 	cfg := uarch.Config8Way()
 	plan := sim.ResolvePlan(req, prog)
-	res, err := smarts.RunSampledContext(context.Background(), prog, cfg, plan, smarts.EngineOptions{
+	res, err := smarts.Run(context.Background(), prog, cfg, plan, smarts.EngineOptions{
 		Workers:   1,
 		TargetEps: req.TargetEps,
 		MinUnits:  req.MinUnits,
@@ -374,13 +376,13 @@ func TestAdmissionControl(t *testing.T) {
 }
 
 // TestRejectsNonDistributable: local-only modes fail before touching
-// the network.
+// the network, and a coordinator refuses a run without functional
+// warming that reaches it anyway.
 func TestRejectsNonDistributable(t *testing.T) {
 	client := NewClient("http://127.0.0.1:1") // nothing listens; must not matter
 	cases := []*sim.Request{
 		sim.NewExperiment("fig5"),
-		sim.NewRequest(testBench, sim.SerialLoop()),
-		sim.NewRequest(testBench, sim.TwoPhase()),
+		sim.NewRequest(testBench, sim.Warming(sim.DetailedWarming)),
 		sim.NewRequest(testBench, sim.Phases(0, 1)),
 		sim.NewRequest(testBench, sim.Calibrate(0)),
 		sim.NewRequest(""),
@@ -389,6 +391,25 @@ func TestRejectsNonDistributable(t *testing.T) {
 		if _, err := client.Run(context.Background(), req); err == nil {
 			t.Fatalf("case %d: non-distributable request accepted", i)
 		}
+	}
+
+	coord, err := NewCoordinator(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(coord.Handler())
+	defer srv.Close()
+	body, err := json.Marshal(wireRequest{Workload: testBench, Length: testLen, N: 60, Warming: int(sim.DetailedWarming)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(srv.URL+"/v1/runs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("coordinator answered a detailed-warming run with %s, want 400", resp.Status)
 	}
 }
 

@@ -16,9 +16,10 @@ import (
 // wireRequest is the serialized subset of sim.Request the distributed
 // service accepts: one sampling plan over one workload. Modes that are
 // local by nature — experiments, procedures, multi-offset phase runs,
-// the classic serial loop — are rejected at the client (see
-// distributable). Worker-pool sizing is a per-worker deployment
-// setting, so Request.Workers does not travel.
+// runs without functional warming (the in-place loop) — are rejected at
+// the client and the coordinator (see distributable). Worker-pool
+// sizing is a per-worker deployment setting, so Request.Workers does
+// not travel.
 type wireRequest struct {
 	Workload string
 	Length   uint64
@@ -47,10 +48,8 @@ func distributable(req *sim.Request) error {
 		return fmt.Errorf("dist: procedure requests are not distributable; drive the two-step procedure from the client")
 	case len(req.Offsets) > 0:
 		return fmt.Errorf("dist: multi-offset phase requests are not distributable")
-	case req.SerialLoop:
-		return fmt.Errorf("dist: the classic serial loop cannot be sharded (its units are not independent)")
-	case req.TwoPhase:
-		return fmt.Errorf("dist: TwoPhase is a local scheduling knob; it does not apply to distributed runs")
+	case req.Warming != sim.FunctionalWarming:
+		return fmt.Errorf("dist: %v warming runs on the in-place loop, whose units are not independent; only functional warming is distributable", req.Warming)
 	case req.Output != nil:
 		return fmt.Errorf("dist: Output streams experiment text; it does not apply to distributed runs")
 	case req.Workload == "":
@@ -284,10 +283,8 @@ func (wp wireProgress) progress() sim.Progress {
 	}
 }
 
-// wireReport is the final record of a run stream. Plan.Store is nil by
-// construction (the coordinator never attaches its store to the result
-// plan), so the result marshals cleanly; its Duration fields are int64
-// nanoseconds in JSON and round-trip exactly.
+// wireReport is the final record of a run stream. The result's
+// Duration fields are int64 nanoseconds in JSON and round-trip exactly.
 type wireReport struct {
 	Result    *smarts.Result
 	CPI, EPI  stats.Estimate

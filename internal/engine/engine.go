@@ -11,12 +11,12 @@
 // max(sweep, replay/workers) instead of their sum — the sweep stops
 // being an Amdahl pre-pass. With a checkpoint store attached
 // (Options.Store), a workload's sweep is paid once and later runs skip
-// it entirely, loading launch states from disk. Options.TwoPhase
-// restores the capture-then-replay schedule for comparison benchmarks.
+// it entirely, loading launch states from disk. LoadOrCapture is the
+// capture-then-replay form that multi-offset runs use with RunSet.
 //
 // Because every unit's detailed simulation is fully determined by its
 // checkpoint, results are bit-identical for any worker count, any
-// schedule (streamed, two-phase, or store-loaded), and any
+// schedule (streamed, captured first, or store-loaded), and any
 // early-termination setting — the engine with one worker IS the serial
 // path. This is the property the SMARTS paper's ~10,000-unit samples
 // make available: units are statistically and, once checkpointed,
@@ -78,7 +78,7 @@ type Options struct {
 	// instruction zero — the resumed unit stream is bit-identical to an
 	// uninterrupted sweep's. 0 selects DefaultResumeInterval; negative
 	// disables journaling and resume. Ignored without a Store (the
-	// journal lives in the store directory) and under TwoPhase.
+	// journal lives in the store directory) and by LoadOrCapture.
 	ResumeInterval int
 	// SweepParallelism overrides checkpoint.Params.SweepParallelism when
 	// above 1: the capture sweep runs as that many concurrent stream
@@ -93,16 +93,12 @@ type Options struct {
 	// nonzero; see that field for the semantics (0 default, negative =
 	// stone cold).
 	SweepOverlap int64
-	// TwoPhase disables capture/replay overlap: the full sweep runs
-	// before the first worker starts, as the engine behaved before the
-	// streaming pipeline. Results are bit-identical either way; the
-	// flag exists for scheduling benchmarks and pipeline validation.
-	TwoPhase bool
 	// OnCaptured, when non-nil, observes sweep progress: it is called
 	// with the cumulative captured-unit count each time a launch
-	// snapshot enters the pipeline (once with the total under TwoPhase
-	// or a store hit). Called from the sweep goroutine; callbacks must
-	// be fast and may not block on the engine.
+	// snapshot enters the pipeline (once with the total when the launch
+	// states come from the store, the cache, or LoadOrCapture). Called
+	// from the sweep goroutine; callbacks must be fast and may not block
+	// on the engine.
 	OnCaptured func(captured int)
 	// OnReplayed, when non-nil, observes replay progress: it is called
 	// each time the deterministic stream-order prefix grows, with the
@@ -203,7 +199,7 @@ type unitDone struct {
 const streamBuffer = 4
 
 // Run executes the plan described by p: launch states are loaded from
-// the store when possible, captured by a streaming (or two-phase) sweep
+// the store or cache when possible, captured by a streaming sweep
 // otherwise, and replayed across the worker pool.
 //
 // ctx cancels the whole pipeline: the sweep stops at its next chunk
@@ -228,72 +224,104 @@ func Run(ctx context.Context, prog *program.Program, cfg uarch.Config, p checkpo
 		return nil, err
 	}
 	start := wallclock.Now()
-	if opt.Keyframe > 0 {
-		p.Keyframe = opt.Keyframe
+	p = opt.params(p)
+	key := opt.keyFor(prog, cfg, p)
+	set, err := opt.lookup(key)
+	if err != nil {
+		return nil, err
 	}
-	if opt.SweepParallelism > 1 {
-		p.SweepParallelism = opt.SweepParallelism
+	if set == nil {
+		return replayStreaming(ctx, prog, cfg, p, key, opt, start)
 	}
-	if opt.SweepOverlap != 0 {
-		p.SweepOverlap = opt.SweepOverlap
+	if opt.OnCaptured != nil {
+		opt.OnCaptured(len(set.Units))
 	}
+	res, err := replaySet(ctx, prog, cfg, p.U, set, opt, start)
+	if err != nil {
+		return nil, err
+	}
+	res.SweepCached = true
+	return res, nil
+}
 
-	var key checkpoint.Key
-	if opt.Store != nil || opt.Cache != nil {
-		key = checkpoint.KeyFor(prog, cfg, p)
+// LoadOrCapture returns the launch states p describes and whether they
+// were reused: a sweep held by the store or the cache is loaded,
+// otherwise a capture sweep runs to completion and is saved and cached
+// before LoadOrCapture returns. It is the capture-then-replay schedule
+// of multi-offset runs, which replay the one set per offset with
+// RunSet; Run instead overlaps a fresh sweep with replay. The returned
+// set is the caller's.
+func LoadOrCapture(ctx context.Context, prog *program.Program, cfg uarch.Config, p checkpoint.Params, opt Options) (set *checkpoint.Set, cached bool, err error) {
+	if ctx == nil {
+		ctx = context.Background()
 	}
-	if opt.Store != nil {
-		set, err := opt.Store.Load(key)
-		if err != nil {
-			return nil, err
-		}
-		if set != nil {
-			if opt.OnCaptured != nil {
-				opt.OnCaptured(len(set.Units))
-			}
-			res, err := replaySet(ctx, prog, cfg, p.U, set, opt, start)
-			if err != nil {
-				return nil, err
-			}
-			res.SweepCached = true
-			return res, nil
-		}
+	p = opt.params(p)
+	if err := p.Validate(); err != nil {
+		return nil, false, err
 	}
-	if opt.Cache != nil {
-		if set := opt.Cache.Get(key); set != nil {
-			if opt.OnCaptured != nil {
-				opt.OnCaptured(len(set.Units))
-			}
-			// The cached set stays shared; replay a copy (replaySet nils
-			// dispatched entries).
-			res, err := replaySet(ctx, prog, cfg, p.U, copySet(set), opt, start)
-			if err != nil {
-				return nil, err
-			}
-			res.SweepCached = true
-			return res, nil
-		}
+	key := opt.keyFor(prog, cfg, p)
+	if set, err = opt.lookup(key); err != nil {
+		return nil, false, err
 	}
-
-	if opt.TwoPhase {
-		set, err := checkpoint.Capture(ctx, prog, cfg, p)
-		if err != nil {
-			return nil, err
-		}
-		if opt.OnCaptured != nil {
-			opt.OnCaptured(len(set.Units))
+	cached = set != nil
+	if !cached {
+		if set, err = checkpoint.Capture(ctx, prog, cfg, p); err != nil {
+			return nil, false, err
 		}
 		if opt.Store != nil {
-			if err := opt.Store.Save(key, set); err != nil {
-				opt.Store.Log("checkpoint store: save failed: %v", err)
+			if serr := opt.Store.Save(key, set); serr != nil {
+				opt.Store.Log("checkpoint store: save failed: %v", serr)
 			}
 		}
 		if opt.Cache != nil {
 			opt.Cache.Put(key, copySet(set))
 		}
-		return replaySet(ctx, prog, cfg, p.U, set, opt, start)
 	}
-	return replayStreaming(ctx, prog, cfg, p, key, opt, start)
+	if opt.OnCaptured != nil {
+		opt.OnCaptured(len(set.Units))
+	}
+	return set, cached, nil
+}
+
+// params folds the encoding and sweep-partition overrides into p.
+func (o Options) params(p checkpoint.Params) checkpoint.Params {
+	if o.Keyframe > 0 {
+		p.Keyframe = o.Keyframe
+	}
+	if o.SweepParallelism > 1 {
+		p.SweepParallelism = o.SweepParallelism
+	}
+	if o.SweepOverlap != 0 {
+		p.SweepOverlap = o.SweepOverlap
+	}
+	return p
+}
+
+// keyFor returns p's store key, or the zero key when no store or cache
+// is attached to look it up in.
+func (o Options) keyFor(prog *program.Program, cfg uarch.Config, p checkpoint.Params) checkpoint.Key {
+	if o.Store == nil && o.Cache == nil {
+		return checkpoint.Key{}
+	}
+	return checkpoint.KeyFor(prog, cfg, p)
+}
+
+// lookup returns the sweep for key held by the store, else by the
+// cache, or nil when neither holds one. The returned set is the
+// caller's to consume: a cache hit is copied, so the shared original
+// is never modified.
+func (o Options) lookup(key checkpoint.Key) (*checkpoint.Set, error) {
+	if o.Store != nil {
+		if set, err := o.Store.Load(key); err != nil || set != nil {
+			return set, err
+		}
+	}
+	if o.Cache != nil {
+		if set := o.Cache.Get(key); set != nil {
+			return copySet(set), nil
+		}
+	}
+	return nil, nil
 }
 
 // copySet shallow-copies a Set so replaySet's entry-nilling never

@@ -79,39 +79,37 @@ func TestDeterminismAcrossWorkerCounts(t *testing.T) {
 }
 
 // TestEstimateBitIdentical runs the full smarts.Run path at several
-// worker counts on two workloads and two warming modes and asserts the
-// CPI/EPI estimates and confidence intervals are byte-identical to the
-// serial (workers=1) engine path.
+// worker counts on two workloads and asserts the CPI/EPI estimates and
+// confidence intervals are byte-identical to the one-worker engine
+// path. Functional warming is the mode smarts.Run executes on the
+// engine; TestDeterminismAcrossWorkerCounts covers cold launches.
 func TestEstimateBitIdentical(t *testing.T) {
 	cfg := uarch.Config8Way()
+	bg := context.Background()
 	for _, bench := range []string{"gzipx", "ammpx"} {
 		p := genProg(t, bench, 400_000)
-		for _, mode := range []smarts.WarmingMode{smarts.FunctionalWarming, smarts.DetailedWarming} {
-			plan := smarts.PlanForN(p.Length, 1000, 1000, 50, mode, 0)
-			plan.Parallelism = 1
-			serial, err := smarts.Run(p, cfg, plan)
+		plan := smarts.PlanForN(p.Length, 1000, 1000, 50, smarts.FunctionalWarming, 0)
+		serial, err := smarts.Run(bg, p, cfg, plan, smarts.EngineOptions{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sCPI := serial.CPIEstimate(stats.Alpha997)
+		sEPI := serial.EPIEstimate(stats.Alpha997)
+		for _, workers := range []int{4, 3} {
+			par, err := smarts.Run(bg, p, cfg, plan, smarts.EngineOptions{Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}
-			sCPI := serial.CPIEstimate(stats.Alpha997)
-			sEPI := serial.EPIEstimate(stats.Alpha997)
-			for _, workers := range []int{4, 3} {
-				plan.Parallelism = workers
-				par, err := smarts.Run(p, cfg, plan)
-				if err != nil {
-					t.Fatal(err)
-				}
-				pCPI := par.CPIEstimate(stats.Alpha997)
-				pEPI := par.EPIEstimate(stats.Alpha997)
-				if pCPI.N != sCPI.N {
-					t.Fatalf("%s %v workers=%d: n %d vs %d", bench, mode, workers, pCPI.N, sCPI.N)
-				}
-				bitsEqual(t, "CPI mean", pCPI.Mean, sCPI.Mean)
-				bitsEqual(t, "CPI CI", pCPI.RelCI, sCPI.RelCI)
-				bitsEqual(t, "CPI CV", pCPI.CV, sCPI.CV)
-				bitsEqual(t, "EPI mean", pEPI.Mean, sEPI.Mean)
-				bitsEqual(t, "EPI CI", pEPI.RelCI, sEPI.RelCI)
+			pCPI := par.CPIEstimate(stats.Alpha997)
+			pEPI := par.EPIEstimate(stats.Alpha997)
+			if pCPI.N != sCPI.N {
+				t.Fatalf("%s workers=%d: n %d vs %d", bench, workers, pCPI.N, sCPI.N)
 			}
+			bitsEqual(t, "CPI mean", pCPI.Mean, sCPI.Mean)
+			bitsEqual(t, "CPI CI", pCPI.RelCI, sCPI.RelCI)
+			bitsEqual(t, "CPI CV", pCPI.CV, sCPI.CV)
+			bitsEqual(t, "EPI mean", pEPI.Mean, sEPI.Mean)
+			bitsEqual(t, "EPI CI", pEPI.RelCI, sEPI.RelCI)
 		}
 	}
 }

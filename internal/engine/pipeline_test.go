@@ -7,7 +7,9 @@ import (
 
 	"repro/internal/checkpoint"
 	"repro/internal/engine"
+	"repro/internal/program"
 	"repro/internal/uarch"
+	"repro/internal/wallclock"
 )
 
 // resultsBitIdentical asserts two engine results carry exactly the same
@@ -31,9 +33,25 @@ func resultsBitIdentical(t *testing.T, what string, a, b *engine.Result) {
 	}
 }
 
+// twoPhase runs the capture-then-replay schedule: the full sweep
+// (checkpoint.Capture) completes before the first worker starts
+// (engine.RunSet).
+func twoPhase(t *testing.T, p *program.Program, cfg uarch.Config, params checkpoint.Params, opt engine.Options) *engine.Result {
+	t.Helper()
+	set, err := checkpoint.Capture(context.Background(), p, cfg, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := engine.RunSet(context.Background(), p, cfg, params.U, set, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 // TestPipelineMatchesTwoPhase is the streaming pipeline's core
 // guarantee: overlapping capture with replay changes wall clock, never
-// results. The streamed schedule must be bit-identical to PR 1's
+// results. The streamed schedule must be bit-identical to the
 // capture-then-replay schedule and to the one-worker serial path, for
 // several worker counts, with and without early termination.
 func TestPipelineMatchesTwoPhase(t *testing.T) {
@@ -42,11 +60,7 @@ func TestPipelineMatchesTwoPhase(t *testing.T) {
 	params := checkpoint.Params{U: 1000, W: 1000, K: 4, J: 0, FunctionalWarm: true}
 
 	for _, eps := range []float64{0, 0.60} {
-		base := engine.Options{Workers: 1, TwoPhase: true, TargetEps: eps, MinUnits: 10}
-		serial, err := engine.Run(context.Background(), p, cfg, params, base)
-		if err != nil {
-			t.Fatal(err)
-		}
+		serial := twoPhase(t, p, cfg, params, engine.Options{Workers: 1, TargetEps: eps, MinUnits: 10})
 		if len(serial.Units) == 0 {
 			t.Fatal("no units measured")
 		}
@@ -54,14 +68,13 @@ func TestPipelineMatchesTwoPhase(t *testing.T) {
 			t.Fatalf("eps=%v: expected early termination", eps)
 		}
 		for _, workers := range []int{1, 2, 4, 7} {
-			for _, twoPhase := range []bool{false, true} {
-				opt := engine.Options{Workers: workers, TwoPhase: twoPhase, TargetEps: eps, MinUnits: 10}
-				got, err := engine.Run(context.Background(), p, cfg, params, opt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				resultsBitIdentical(t, "schedule", serial, got)
+			opt := engine.Options{Workers: workers, TargetEps: eps, MinUnits: 10}
+			got, err := engine.Run(context.Background(), p, cfg, params, opt)
+			if err != nil {
+				t.Fatal(err)
 			}
+			resultsBitIdentical(t, "streamed", serial, got)
+			resultsBitIdentical(t, "two-phase", serial, twoPhase(t, p, cfg, params, opt))
 		}
 	}
 }
@@ -78,17 +91,16 @@ func TestPipelineSweepOverlap(t *testing.T) {
 	p := genProg(t, "mcfx", 400_000)
 	params := checkpoint.Params{U: 1000, W: 1000, K: 4, J: 0, FunctionalWarm: true}
 
-	two, err := engine.Run(context.Background(), p, cfg, params, engine.Options{Workers: 4, TwoPhase: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	start := wallclock.Now()
+	two := twoPhase(t, p, cfg, params, engine.Options{Workers: 4})
+	twoWall := wallclock.Since(start)
 	streamed, err := engine.Run(context.Background(), p, cfg, params, engine.Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	resultsBitIdentical(t, "overlap", two, streamed)
-	if streamed.WallTime > two.WallTime*3 {
-		t.Fatalf("streamed schedule pathologically slower: %v vs %v", streamed.WallTime, two.WallTime)
+	if streamed.WallTime > twoWall*3 {
+		t.Fatalf("streamed schedule pathologically slower: %v vs %v", streamed.WallTime, twoWall)
 	}
 }
 

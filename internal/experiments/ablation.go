@@ -37,13 +37,13 @@ type AblationResult struct {
 // ablationVariants enumerates the warming subsets in presentation order.
 var ablationVariants = []struct {
 	Name string
-	Comp smarts.WarmComponents
+	Comp uarch.WarmComponents
 }{
-	{"none", smarts.WarmComponents{}},
-	{"icache", smarts.WarmComponents{ICache: true}},
-	{"dcache", smarts.WarmComponents{DCache: true}},
-	{"bpred", smarts.WarmComponents{Predictor: true}},
-	{"all", smarts.AllComponents},
+	{"none", uarch.WarmComponents{}},
+	{"icache", uarch.WarmComponents{ICache: true}},
+	{"dcache", uarch.WarmComponents{DCache: true}},
+	{"bpred", uarch.WarmComponents{Predictor: true}},
+	{"all", uarch.AllComponents},
 }
 
 // AblationWarming measures the component ablation for the given
@@ -83,7 +83,7 @@ func AblationWarming(ctx context.Context, ec *Context, cfg uarch.Config, benches
 // measureBiasComponents is MeasureBias with a warming-component override
 // (always in FunctionalWarming mode).
 func measureBiasComponents(ctx context.Context, ec *Context, bench string, cfg uarch.Config,
-	u, w, n uint64, phases int, comp *smarts.WarmComponents) (float64, error) {
+	u, w, n uint64, phases int, comp *uarch.WarmComponents) (float64, error) {
 
 	ref, err := ec.Reference(ctx, bench, cfg)
 	if err != nil {
@@ -98,8 +98,6 @@ func measureBiasComponents(ctx context.Context, ec *Context, bench string, cfg u
 		return 0, err
 	}
 	base := smarts.PlanForN(p.Length, u, w, n, smarts.FunctionalWarming, 0)
-	base.Parallelism = ec.Parallelism
-	base.Store = ec.Ckpt
 	base.Components = comp
 	if phases < 1 {
 		phases = 1
@@ -107,7 +105,7 @@ func measureBiasComponents(ctx context.Context, ec *Context, bench string, cfg u
 	if uint64(phases) > base.K {
 		phases = int(base.K)
 	}
-	runs, err := runPhases(ctx, p, cfg, base, phases)
+	runs, err := runPhases(ctx, ec, p, cfg, base, phases)
 	if err != nil {
 		return 0, err
 	}

@@ -38,17 +38,13 @@ func MeasureBias(ctx context.Context, ec *Context, bench string, cfg uarch.Confi
 	}
 
 	base := smarts.PlanForN(p.Length, u, w, n, mode, 0)
-	base.Parallelism = ec.Parallelism
-	base.SweepParallelism = ec.SweepParallelism
-	base.SweepOverlap = ec.SweepOverlap
-	base.Store = ec.Ckpt
 	if phases < 1 {
 		phases = 1
 	}
 	if uint64(phases) > base.K {
 		phases = int(base.K)
 	}
-	runs, err := runPhases(ctx, p, cfg, base, phases)
+	runs, err := runPhases(ctx, ec, p, cfg, base, phases)
 	if err != nil {
 		return 0, fmt.Errorf("experiments: bias runs %s: %w", bench, err)
 	}
@@ -72,32 +68,16 @@ func MeasureBias(ctx context.Context, ec *Context, bench string, cfg uarch.Confi
 	return total / float64(phases), nil
 }
 
-// runPhases executes plan at `phases` evenly spaced offsets. On the
-// classic serial path each phase runs its own sweep (preserving the
-// historical execution exactly); on the engine path every phase's
-// launch boundaries are captured in one multi-offset sweep and replayed
-// from shared snapshots — bit-identical per phase to dedicated runs,
-// at one sweep's cost instead of `phases`.
-func runPhases(ctx context.Context, p *program.Program, cfg uarch.Config, plan smarts.Plan, phases int) ([]*smarts.Result, error) {
+// runPhases executes plan at `phases` evenly spaced offsets through
+// smarts.RunPhases: under functional warming every phase's launch
+// boundaries are captured in one multi-offset sweep and replayed from
+// shared snapshots — bit-identical per phase to dedicated runs, at one
+// sweep's cost instead of `phases`; otherwise each phase runs its own
+// in-place loop.
+func runPhases(ctx context.Context, ec *Context, p *program.Program, cfg uarch.Config, plan smarts.Plan, phases int) ([]*smarts.Result, error) {
 	js := make([]uint64, phases)
 	for ph := range js {
 		js[ph] = uint64(ph) * plan.K / uint64(phases)
 	}
-	if plan.Parallelism != 0 {
-		return smarts.RunSampledPhasesContext(ctx, p, cfg, plan, js, smarts.EngineOptions{
-			Workers: plan.Parallelism,
-			Store:   plan.Store,
-		})
-	}
-	runs := make([]*smarts.Result, len(js))
-	for i, j := range js {
-		pj := plan
-		pj.J = j
-		res, err := smarts.RunContext(ctx, p, cfg, pj)
-		if err != nil {
-			return nil, fmt.Errorf("j=%d: %w", j, err)
-		}
-		runs[i] = res
-	}
-	return runs, nil
+	return smarts.RunPhases(ctx, p, cfg, plan, js, ec.engineOptions())
 }

@@ -54,8 +54,7 @@ func TestMeasureBiasEngineMatchesPerPhase(t *testing.T) {
 	for ph := 0; ph < phases; ph++ {
 		plan := base
 		plan.J = uint64(ph) * base.K / uint64(phases)
-		plan.Parallelism = 2
-		res, err := smarts.Run(p, cfg, plan)
+		res, err := smarts.Run(context.Background(), p, cfg, plan, smarts.EngineOptions{Workers: 2})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -14,8 +14,7 @@
 // keeping the machine configuration (cache sizes, predictor sizes) at
 // full scale, and shrinks n_init proportionally so the sampled fraction
 // and the dimensionless results (CV, CI, bias, error) remain
-// commensurate with the paper's. EXPERIMENTS.md tabulates paper-vs-
-// measured for every experiment.
+// commensurate with the paper's.
 package experiments
 
 import (
@@ -114,30 +113,39 @@ func (s Scale) BenchNames() []string {
 type Context struct {
 	Scale Scale
 
-	// Parallelism is copied into every sampling plan the experiments
-	// build: 0 keeps the classic serial loop (and the historical
-	// figures/tables exactly), n >= 1 runs sampling on the checkpointed
-	// parallel engine with n workers, negative uses one worker per core
-	// (see smarts.Plan.Parallelism for the semantic difference).
+	// Parallelism is the engine worker count of every functional-warming
+	// sampling run; <= 0 selects one worker per core. Runs without
+	// functional warming use the in-place loop and ignore it, as they
+	// ignore the fields below.
 	Parallelism int
 
-	// Ckpt, when non-nil and the engine is selected, is copied into
-	// every sampling plan so functional sweeps are persisted to disk and
-	// reused across experiments, phases, and smartsweep invocations (see
-	// smarts.Plan.Store). Results are bit-identical with or without it.
+	// Ckpt, when non-nil, persists functional sweeps to disk and reuses
+	// them across experiments, phases, and smartsweep invocations.
+	// Results are bit-identical with or without it.
 	Ckpt *checkpoint.Store
 
-	// SweepParallelism and SweepOverlap are copied into every sampling
-	// plan on the engine path (see smarts.Plan.SweepParallelism): the
-	// bias-vs-stride experiment varies them to measure the speculative
-	// parallel sweep's cold-start bias. Like Parallelism, they are plain
-	// fields set before runs, not concurrency-safe knobs.
+	// SweepParallelism and SweepOverlap configure the speculative
+	// parallel sweep (see smarts.EngineOptions): the bias-vs-stride
+	// experiment varies them to measure its cold-start bias. Like
+	// Parallelism, they are plain fields set before runs, not
+	// concurrency-safe knobs.
 	SweepParallelism int
 	SweepOverlap     int64
 
 	mu    sync.Mutex
 	progs map[string]*program.Program
 	refs  map[string]*smarts.Reference
+}
+
+// engineOptions is the engine configuration every sampling run of the
+// context shares.
+func (c *Context) engineOptions() smarts.EngineOptions {
+	return smarts.EngineOptions{
+		Workers:          c.Parallelism,
+		Store:            c.Ckpt,
+		SweepParallelism: c.SweepParallelism,
+		SweepOverlap:     c.SweepOverlap,
+	}
 }
 
 // NewContext builds an empty cache for the scale.

@@ -61,9 +61,9 @@ func Fig6(ctx context.Context, ec *Context, cfg uarch.Config) (*Fig6Result, erro
 		}
 		pc := smarts.DefaultProcedure(cfg, ec.Scale.NInit)
 		pc.Eps = ec.Scale.Eps
-		pc.Parallelism = ec.Parallelism
-		pc.Store = ec.Ckpt
-		pr, err := smarts.RunProcedureContext(ctx, p, cfg, pc)
+		pr, err := smarts.RunProcedureWith(ctx, p, cfg, pc, func(ctx context.Context, _ string, plan smarts.Plan) (*smarts.Result, error) {
+			return smarts.Run(ctx, p, cfg, plan, ec.engineOptions())
+		})
 		if err != nil {
 			return nil, err
 		}

@@ -52,10 +52,7 @@ type StrideResult struct {
 
 // Stride measures the bias-vs-stride grid. segments and overlaps
 // default to {1, 2, 4, 8} and {negative (none), 0 (default)} when nil.
-// Parallel sweeps exist only on the engine path, so a Context with the
-// classic serial loop selected (Parallelism 0) runs these measurements
-// with one worker per core; the Context's sweep knobs are restored on
-// return.
+// The Context's sweep knobs are restored on return.
 func Stride(ctx context.Context, ec *Context, cfg uarch.Config, segments []int, overlaps []int64) (*StrideResult, error) {
 	if segments == nil {
 		segments = []int{1, 2, 4, 8}
@@ -63,12 +60,9 @@ func Stride(ctx context.Context, ec *Context, cfg uarch.Config, segments []int, 
 	if overlaps == nil {
 		overlaps = []int64{-1, 0}
 	}
-	defer func(par, sp int, so int64) {
-		ec.Parallelism, ec.SweepParallelism, ec.SweepOverlap = par, sp, so
-	}(ec.Parallelism, ec.SweepParallelism, ec.SweepOverlap)
-	if ec.Parallelism == 0 {
-		ec.Parallelism = -1
-	}
+	defer func(sp int, so int64) {
+		ec.SweepParallelism, ec.SweepOverlap = sp, so
+	}(ec.SweepParallelism, ec.SweepOverlap)
 
 	w := smarts.RecommendedW(cfg)
 	res := &StrideResult{Config: cfg.Name, W: w, Overlaps: overlaps}

@@ -50,7 +50,6 @@ func TestStrideBiasUnderThreshold(t *testing.T) {
 	for _, bench := range ec.Scale.BenchNames() {
 		base := freshTinyCtx()
 		base.Scale.Benches = ec.Scale.Benches
-		base.Parallelism = -1
 		b, err := experiments.MeasureBias(context.Background(), base, bench, cfg, 1000, w,
 			smarts.FunctionalWarming, ec.Scale.NInit, ec.Scale.BiasPhases)
 		if err != nil {

@@ -10,8 +10,8 @@ import (
 	"repro/internal/uarch"
 )
 
-// EngineOptions configures the checkpointed parallel engine behind
-// RunSampled.
+// EngineOptions configures the checkpointed parallel engine that runs
+// functional-warming plans (see Run). The in-place loop ignores it.
 type EngineOptions struct {
 	// Workers is the worker-pool size; values <= 0 select GOMAXPROCS.
 	Workers int
@@ -27,7 +27,7 @@ type EngineOptions struct {
 	// termination may trigger.
 	MinUnits uint64
 	// Store, when non-nil, persists and reuses capture sweeps on disk
-	// (see checkpoint.Store). Plan.Store is used when this is nil.
+	// (see checkpoint.Store).
 	Store *checkpoint.Store
 	// Cache, when non-nil, reuses capture sweeps in memory (checked
 	// after the store); the sim session attaches one to storeless
@@ -51,16 +51,13 @@ type EngineOptions struct {
 	// keyframes (see engine.Options.ResumeInterval): 0 = default,
 	// negative disables partial-sweep journaling and resume.
 	ResumeInterval int
-	// TwoPhase runs the engine's capture-then-replay schedule instead of
-	// the streaming pipeline; results are bit-identical either way.
-	TwoPhase bool
 	// OnCaptured and OnReplayed observe pipeline progress; see
 	// engine.Options. The sim package uses them to emit typed progress
 	// events.
 	OnCaptured func(captured int)
 	OnReplayed func(replayed int, est stats.Estimate)
 	// OnPhaseReplayed, when non-nil, observes multi-offset replay
-	// progress with the phase offset attached; RunSampledPhases then
+	// progress with the phase offset attached; RunPhases then
 	// invokes it instead of OnReplayed for each offset's replay.
 	OnPhaseReplayed func(j uint64, replayed int, est stats.Estimate)
 }
@@ -78,7 +75,6 @@ func (opt EngineOptions) engineOptions() engine.Options {
 		SweepParallelism: opt.SweepParallelism,
 		SweepOverlap:     opt.SweepOverlap,
 		ResumeInterval:   opt.ResumeInterval,
-		TwoPhase:         opt.TwoPhase,
 		OnCaptured:       opt.OnCaptured,
 		OnReplayed:       opt.OnReplayed,
 	}
@@ -92,14 +88,12 @@ func (pl Plan) CheckpointParams() checkpoint.Params { return pl.params() }
 // params translates a validated Plan into checkpoint capture parameters.
 func (pl Plan) params() checkpoint.Params {
 	p := checkpoint.Params{
-		U:                pl.U,
-		K:                pl.K,
-		J:                pl.J,
-		FunctionalWarm:   pl.Warming == FunctionalWarming,
-		Components:       pl.Components,
-		MaxUnits:         pl.MaxUnits,
-		SweepParallelism: pl.SweepParallelism,
-		SweepOverlap:     pl.SweepOverlap,
+		U:              pl.U,
+		K:              pl.K,
+		J:              pl.J,
+		FunctionalWarm: pl.Warming == FunctionalWarming,
+		Components:     pl.Components,
+		MaxUnits:       pl.MaxUnits,
 	}
 	if pl.Warming != NoWarming {
 		p.W = pl.W
@@ -107,77 +101,20 @@ func (pl Plan) params() checkpoint.Params {
 	return p
 }
 
-// RunSampled executes the plan on the checkpointed parallel engine: a
-// functional sweep captures a launch snapshot per selected unit
-// (architectural registers and PC, a copy-on-write memory image, and —
-// under functional warming — the cache/TLB/predictor state) and streams
-// each snapshot straight into a worker pool that replays detailed
-// warming plus measurement, while a deterministic stream-order
-// aggregator merges the results. Capture and replay overlap, so wall
-// clock approaches max(sweep, replay/workers); with a checkpoint store
-// attached, a previously swept (workload, plan, warm geometry) skips
-// the sweep entirely.
+// RunPhases executes the same plan at several systematic phase
+// offsets; results[i] corresponds to js[i] and is bit-identical to a
+// dedicated Run at that offset. Under functional warming all offsets
+// pay one functional sweep: a multi-offset capture records every
+// offset's launch boundaries in a single pass (checkpoint.Params.Offsets)
+// and the engine replays each offset's units from the shared snapshots;
+// with a store attached the combined set is persisted and reused as one
+// entry. Under detailed or no warming each offset runs its own in-place
+// loop.
 //
-// Semantics versus the in-place serial loop of Run: each unit launches
-// from sweep state rather than from state carried out of the previous
-// unit's detailed simulation. Under functional warming the difference
-// is the in-order-versus-out-of-order update gap the paper already
-// treats as residual bias (Section 4.5); under detailed or no warming,
-// units launch microarchitecturally cold instead of stale. In exchange,
-// units become fully independent: results are bit-identical for every
-// worker count, every schedule, and every sweep source (fresh or
-// stored), and the detailed phase scales with cores.
-//
-// Deprecated: new code should go through the sim package; this shim is
-// kept so existing callers and result-pinning tests keep working.
-func RunSampled(prog *program.Program, cfg uarch.Config, plan Plan, opt EngineOptions) (*Result, error) {
-	return RunSampledContext(context.Background(), prog, cfg, plan, opt)
-}
-
-// RunSampledContext is RunSampled with context support: cancellation
-// stops the sweep and the worker pool, aborts any staged store entry,
-// and returns ctx.Err() (see engine.Run).
-func RunSampledContext(ctx context.Context, prog *program.Program, cfg uarch.Config, plan Plan, opt EngineOptions) (*Result, error) {
-	if err := plan.Validate(); err != nil {
-		return nil, err
-	}
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if opt.Store == nil {
-		opt.Store = plan.Store
-	}
-	er, err := engine.Run(ctx, prog, cfg, plan.params(), opt.engineOptions())
-	if err != nil {
-		return nil, err
-	}
-	return engineResult(plan, er, !er.SweepCached), nil
-}
-
-// RunSampledPhases executes the same plan at several systematic phase
-// offsets, paying one functional sweep for all of them: a multi-offset
-// capture records every offset's launch boundaries in a single pass
-// (checkpoint.Params.Offsets), and the engine replays each offset's
-// units from the shared snapshots. Each returned Result is bit-identical
-// to a dedicated RunSampled at that offset; results[i] corresponds to
-// js[i]. With a store attached the combined multi-offset set is
-// persisted and reused as one entry.
-//
-// The sweep accounting (FastFwdInsts/FastFwdTime) on every result
-// echoes the one shared sweep; callers summing costs across phases
-// should count it once.
-//
-// Deprecated: new code should go through the sim package (a Request
-// with Offsets); this shim is kept so existing callers and
-// result-pinning tests keep working.
-func RunSampledPhases(prog *program.Program, cfg uarch.Config, plan Plan, js []uint64, opt EngineOptions) ([]*Result, error) {
-	return RunSampledPhasesContext(context.Background(), prog, cfg, plan, js, opt)
-}
-
-// RunSampledPhasesContext is RunSampledPhases with context support:
-// cancellation stops the shared sweep (or whichever offset's replay is
-// in flight) and returns ctx.Err().
-func RunSampledPhasesContext(ctx context.Context, prog *program.Program, cfg uarch.Config, plan Plan, js []uint64, opt EngineOptions) ([]*Result, error) {
+// The sweep accounting (FastFwdInsts/FastFwdTime) on every engine
+// result echoes the one shared sweep; callers summing costs across
+// phases should count it once.
+func RunPhases(ctx context.Context, prog *program.Program, cfg uarch.Config, plan Plan, js []uint64, opt EngineOptions) ([]*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -187,67 +124,30 @@ func RunSampledPhasesContext(ctx context.Context, prog *program.Program, cfg uar
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if opt.Store == nil {
-		opt.Store = plan.Store
+	results := make([]*Result, len(js))
+	if !plan.Checkpointed() {
+		for i, j := range js {
+			pj := plan
+			pj.J = j
+			if err := pj.Validate(); err != nil {
+				return nil, err
+			}
+			r, err := runLoop(ctx, prog, cfg, pj)
+			if err != nil {
+				return nil, err
+			}
+			results[i] = r
+		}
+		return results, nil
 	}
+
 	params := plan.params()
 	params.J = 0
 	params.Offsets = js
-	if opt.Keyframe > 0 {
-		params.Keyframe = opt.Keyframe
-	}
-	if opt.SweepParallelism > 1 {
-		params.SweepParallelism = opt.SweepParallelism
-	}
-	if opt.SweepOverlap != 0 {
-		params.SweepOverlap = opt.SweepOverlap
-	}
-	if err := params.Validate(); err != nil {
+	set, cached, err := engine.LoadOrCapture(ctx, prog, cfg, params, opt.engineOptions())
+	if err != nil {
 		return nil, err
 	}
-
-	var set *checkpoint.Set
-	sweepCached := false
-	var key checkpoint.Key
-	if opt.Store != nil || opt.Cache != nil {
-		key = checkpoint.KeyFor(prog, cfg, params)
-	}
-	if opt.Store != nil {
-		cached, err := opt.Store.Load(key)
-		if err != nil {
-			return nil, err
-		}
-		if cached != nil {
-			set = cached
-			sweepCached = true
-		}
-	}
-	if set == nil && opt.Cache != nil {
-		if cached := opt.Cache.Get(key); cached != nil {
-			set = cached
-			sweepCached = true
-		}
-	}
-	if set == nil {
-		var err error
-		set, err = checkpoint.Capture(ctx, prog, cfg, params)
-		if err != nil {
-			return nil, err
-		}
-		if opt.Store != nil {
-			if serr := opt.Store.Save(key, set); serr != nil {
-				opt.Store.Log("checkpoint store: save failed: %v", serr)
-			}
-		}
-		if opt.Cache != nil {
-			opt.Cache.Put(key, set)
-		}
-	}
-	if opt.OnCaptured != nil {
-		opt.OnCaptured(len(set.Units))
-	}
-
-	results := make([]*Result, len(js))
 	for i, j := range js {
 		onReplayed := opt.OnReplayed
 		if opt.OnPhaseReplayed != nil {
@@ -271,7 +171,7 @@ func RunSampledPhasesContext(ctx context.Context, prog *program.Program, cfg uar
 		r := engineResult(phasePlan, er, false)
 		r.FastFwdInsts = set.SweepInsts
 		r.FastFwdTime = set.SweepTime
-		r.SweepCached = sweepCached
+		r.SweepCached = cached
 		results[i] = r
 	}
 	return results, nil
@@ -279,10 +179,9 @@ func RunSampledPhasesContext(ctx context.Context, prog *program.Program, cfg uar
 
 // engineResult converts an engine result into the smarts Result shape.
 // sweepInRun says the sweep's wall clock was part of this run's
-// WallTime (a fresh streamed or two-phase sweep); when false (store
-// hit, or replaying a shared pre-captured set) er.SweepTime merely
-// echoes a sweep paid elsewhere and the whole elapsed time is detailed
-// work.
+// WallTime (a fresh streamed sweep); when false (store hit, or
+// replaying a shared pre-captured set) er.SweepTime merely echoes a
+// sweep paid elsewhere and the whole elapsed time is detailed work.
 func engineResult(plan Plan, er *engine.Result, sweepInRun bool) *Result {
 	// Wall-clock accounting: FastFwdTime is the capture sweep and
 	// DetailedTime the remaining elapsed time, so the two sum to the

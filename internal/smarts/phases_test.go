@@ -1,6 +1,7 @@
 package smarts_test
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -11,15 +12,15 @@ import (
 )
 
 // TestRunSampledPhasesBitIdentical verifies the shared-sweep phase
-// helper: each phase's result must match a dedicated RunSampled at that
-// offset bit for bit, with the sweep paid once.
+// path: each RunPhases result must match a dedicated Run at that offset
+// bit for bit, with the sweep paid once.
 func TestRunSampledPhasesBitIdentical(t *testing.T) {
 	p := genBench(t, "gccx", 400_000)
 	cfg := uarch.Config8Way()
 	plan := smarts.PlanForN(p.Length, 1000, 1000, 50, smarts.FunctionalWarming, 0)
 	js := []uint64{0, 1, 3}
 
-	runs, err := smarts.RunSampledPhases(p, cfg, plan, js, smarts.EngineOptions{Workers: 3})
+	runs, err := smarts.RunPhases(context.Background(), p, cfg, plan, js, smarts.EngineOptions{Workers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +30,7 @@ func TestRunSampledPhasesBitIdentical(t *testing.T) {
 	for i, j := range js {
 		single := plan
 		single.J = j
-		want, err := smarts.RunSampled(p, cfg, single, smarts.EngineOptions{Workers: 2})
+		want, err := smarts.Run(context.Background(), p, cfg, single, smarts.EngineOptions{Workers: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -67,11 +68,11 @@ func TestRunSampledPhasesStore(t *testing.T) {
 	}
 	opt := smarts.EngineOptions{Workers: 2, Store: store}
 
-	first, err := smarts.RunSampledPhases(p, cfg, plan, js, opt)
+	first, err := smarts.RunPhases(context.Background(), p, cfg, plan, js, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := smarts.RunSampledPhases(p, cfg, plan, js, opt)
+	second, err := smarts.RunPhases(context.Background(), p, cfg, plan, js, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,8 +92,9 @@ func TestRunSampledPhasesStore(t *testing.T) {
 	}
 }
 
-// TestPlanStoreThroughRun verifies the Plan.Store plumbing smartsim and
-// the experiments use: two identical Runs with a store share one sweep.
+// TestPlanStoreThroughRun verifies the store plumbing the session and
+// the experiments use: two identical Runs of a plan with a store share
+// one sweep.
 func TestPlanStoreThroughRun(t *testing.T) {
 	p := genBench(t, "gzipx", 200_000)
 	cfg := uarch.Config8Way()
@@ -101,17 +103,16 @@ func TestPlanStoreThroughRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	plan := smarts.PlanForN(p.Length, 1000, 1000, 40, smarts.FunctionalWarming, 0)
-	plan.Parallelism = 2
-	plan.Store = store
+	opt := smarts.EngineOptions{Workers: 2, Store: store}
 
-	first, err := smarts.Run(p, cfg, plan)
+	first, err := smarts.Run(context.Background(), p, cfg, plan, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if first.SweepCached {
 		t.Fatal("first run claims cached sweep")
 	}
-	second, err := smarts.Run(p, cfg, plan)
+	second, err := smarts.Run(context.Background(), p, cfg, plan, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

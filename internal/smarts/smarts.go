@@ -15,24 +15,34 @@
 //
 // The two-step sizing procedure of Section 5.1 (n_init = 10,000, then
 // n_tuned from the measured coefficient of variation) is implemented by
-// RunProcedure.
+// RunProcedureWith.
 //
 // # Execution engines
 //
-// Two executions of a Plan are available. The classic serial loop
-// (Run with Plan.Parallelism == 0) interleaves fast-forwarding and
-// per-unit detailed simulation on one goroutine, each unit observing
-// whatever state the previous unit's detailed run left behind. The
-// checkpointed parallel engine (Plan.Parallelism >= 1, or RunSampled
-// directly) exploits the statistical independence of sampling units:
-// one functional sweep captures a per-unit launch snapshot —
-// architectural registers, a copy-on-write memory image, and, under
-// functional warming, the cache/TLB/branch-predictor state — and a
-// worker pool replays detailed warming plus measurement for every unit
-// from its snapshot, merging CPI/EPI through a deterministic
-// stream-order aggregator (optionally terminating early at a target
-// confidence interval). Engine results are bit-identical for every
-// worker count; see RunSampled for how they relate to the serial loop.
+// The plan's warming mode picks the executor. Plan.Checkpointed is the
+// one place that decides, and Run and RunPhases follow it:
+//
+//   - FunctionalWarming runs on the checkpointed parallel engine
+//     (internal/engine). It exploits the statistical independence of
+//     sampling units: one functional sweep captures a per-unit launch
+//     snapshot — architectural registers, a copy-on-write memory image,
+//     and the warmed cache/TLB/branch-predictor state — and a worker
+//     pool replays detailed warming plus measurement for every unit
+//     from its snapshot, merging CPI/EPI through a deterministic
+//     stream-order aggregator (optionally terminating early at a target
+//     confidence interval). Results are bit-identical for every worker
+//     count and every sweep source (fresh, stored, or cached).
+//   - NoWarming and DetailedWarming run on the in-place serial loop,
+//     which interleaves fast-forwarding and per-unit detailed
+//     simulation on one goroutine, each unit observing whatever state
+//     the previous unit's detailed run left behind. That stale state is
+//     the paper's Section 4.3 semantics, which an engine launch from
+//     cold snapshot state does not reproduce.
+//
+// Under functional warming the two executors agree up to the
+// in-order-versus-out-of-order update gap the paper treats as residual
+// bias (Section 4.5); the loop stays the reference the engine is tested
+// against (see TestEngineMatchesLoop).
 package smarts
 
 import (
@@ -41,6 +51,7 @@ import (
 	"time"
 
 	"repro/internal/checkpoint"
+	"repro/internal/engine"
 	"repro/internal/functional"
 	"repro/internal/program"
 	"repro/internal/stats"
@@ -92,35 +103,9 @@ type Plan struct {
 	Warming WarmingMode
 	// Components restricts which structures functional warming maintains
 	// (nil = all). Used by the warming-component ablation.
-	Components *WarmComponents
+	Components *uarch.WarmComponents
 	// MaxUnits, when nonzero, caps the number of measured units.
 	MaxUnits int
-	// Parallelism selects the execution engine: 0 runs the classic
-	// in-place serial loop; n >= 1 runs the checkpointed parallel engine
-	// (internal/engine) with n workers; negative values run the engine
-	// with one worker per core (GOMAXPROCS). Engine results are
-	// bit-identical for every worker count — the units are replayed from
-	// per-unit snapshots, so scheduling cannot affect the estimate — but
-	// differ slightly from the in-place serial loop, whose units observe
-	// state carried out of earlier units' detailed simulation instead of
-	// snapshot state (see RunSampled).
-	Parallelism int
-	// SweepParallelism, when above 1 on the engine path, runs the
-	// capture sweep as that many concurrent stream segments (the
-	// speculative parallel sweep; see checkpoint.Params.SweepParallelism
-	// for the exactness and cold-start-bias semantics). Ignored by the
-	// classic serial loop, which has no capture sweep.
-	SweepParallelism int
-	// SweepOverlap is the per-segment warm-up length of a parallel
-	// sweep (0 = checkpoint.DefaultSweepOverlap, negative = none).
-	SweepOverlap int64
-	// Store, when non-nil and the engine is selected, reuses functional
-	// sweeps across runs through the on-disk checkpoint store: a run
-	// whose (workload, plan, warm geometry) was swept before loads the
-	// launch states from disk and skips fast-forwarding entirely.
-	// Results are bit-identical with or without the store. Ignored by
-	// the classic serial loop.
-	Store *checkpoint.Store
 }
 
 // Validate reports plan errors.
@@ -136,6 +121,12 @@ func (pl Plan) Validate() error {
 	}
 	return nil
 }
+
+// Checkpointed reports whether the plan runs on the checkpointed engine,
+// and so has a capture sweep that a store or cache can share: only
+// functional warming does. This is the one place the executor is
+// chosen; see the package documentation.
+func (pl Plan) Checkpointed() bool { return pl.Warming == FunctionalWarming }
 
 // PlanForN builds a systematic plan measuring approximately n units of a
 // benchmark with the given dynamic length: k = floor(N_units/n), clamped
@@ -225,23 +216,11 @@ func (r *Result) EPIEstimate(alpha float64) stats.Estimate {
 }
 
 // Run executes one sampling simulation of prog on the machine described
-// by cfg. With plan.Parallelism != 0 the run is delegated to the
-// checkpointed parallel engine (see RunSampled); otherwise the classic
-// in-place serial loop executes.
-//
-// Deprecated: new code should go through the sim package
-// (sim.Open / Session.Run), which adds context cancellation, sweep
-// deduplication, and progress events on top of the same mechanisms.
-// This entry point is kept as a thin shim so existing callers and the
-// result-pinning tests keep working bit-identically.
-func Run(prog *program.Program, cfg uarch.Config, plan Plan) (*Result, error) {
-	return RunContext(context.Background(), prog, cfg, plan)
-}
-
-// RunContext is Run with context support: cancellation or deadline
-// expiry stops the run — between units and, within long fast-forward
-// gaps, every checkpoint.FFChunk instructions — and returns ctx.Err().
-func RunContext(ctx context.Context, prog *program.Program, cfg uarch.Config, plan Plan) (*Result, error) {
+// by cfg. Under functional warming it runs on the checkpointed engine
+// configured by opt; under detailed or no warming it runs the in-place
+// loop, which has no sweep to share and ignores opt. Cancellation or
+// deadline expiry of ctx stops either executor and returns ctx.Err().
+func Run(ctx context.Context, prog *program.Program, cfg uarch.Config, plan Plan, opt EngineOptions) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -251,15 +230,27 @@ func RunContext(ctx context.Context, prog *program.Program, cfg uarch.Config, pl
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if plan.Parallelism != 0 {
-		return RunSampledContext(ctx, prog, cfg, plan, EngineOptions{Workers: plan.Parallelism, Store: plan.Store})
+	if !plan.Checkpointed() {
+		return runLoop(ctx, prog, cfg, plan)
 	}
+	er, err := engine.Run(ctx, prog, cfg, plan.params(), opt.engineOptions())
+	if err != nil {
+		return nil, err
+	}
+	return engineResult(plan, er, !er.SweepCached), nil
+}
 
+// runLoop is the in-place serial loop: fast-forward to each selected
+// unit's warming start (checking ctx every checkpoint.FFChunk
+// instructions), then simulate detailed warming and the measured unit
+// in one pipeline-continuous run on a core that carries its state from
+// unit to unit. plan and cfg are validated by the caller.
+func runLoop(ctx context.Context, prog *program.Program, cfg uarch.Config, plan Plan) (*Result, error) {
 	cpu := functional.New(prog)
 	machine := uarch.NewMachine(cfg)
 	core := uarch.NewCore(machine)
 	src := &uarch.Source{CPU: cpu}
-	warmer := NewWarmer(machine, cfg)
+	warmer := uarch.NewWarmer(machine, cfg)
 	if plan.Components != nil {
 		warmer.Components = *plan.Components
 	}
@@ -347,26 +338,6 @@ func RunContext(ctx context.Context, prog *program.Program, cfg uarch.Config, pl
 		})
 	}
 	return res, nil
-}
-
-// WarmComponents selects which microarchitectural structures functional
-// warming maintains. It is an alias for uarch.WarmComponents, which
-// lives beside the Machine so the checkpoint capture sweep can share the
-// exact warming semantics without importing this package.
-type WarmComponents = uarch.WarmComponents
-
-// AllComponents is the paper's full functional warming.
-var AllComponents = uarch.AllComponents
-
-// Warmer replays the committed instruction stream into a machine's
-// warmable structures (caches, TLBs, branch predictor) — the functional
-// warming mode. It is an alias for uarch.Warmer; other estimators (e.g.
-// the SimPoint baseline's warmed variant) reuse it through either name.
-type Warmer = uarch.Warmer
-
-// NewWarmer builds a full warmer bound to m's structures.
-func NewWarmer(m *uarch.Machine, cfg uarch.Config) *Warmer {
-	return uarch.NewWarmer(m, cfg)
 }
 
 // RecommendedW returns the detailed-warming length the paper uses with

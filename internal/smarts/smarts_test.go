@@ -1,6 +1,7 @@
 package smarts_test
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -20,7 +21,8 @@ func genBench(t testing.TB, name string, length uint64) *program.Program {
 }
 
 // TestSamplingMatchesTruth is the core end-to-end check: a SMARTS run
-// with functional warming estimates the full-stream CPI and EPI within a
+// with functional warming — on the checkpointed engine, the executor
+// Run selects for it — estimates the full-stream CPI and EPI within a
 // few percent.
 func TestSamplingMatchesTruth(t *testing.T) {
 	if testing.Short() {
@@ -37,7 +39,7 @@ func TestSamplingMatchesTruth(t *testing.T) {
 				t.Fatalf("FullRun: %v", err)
 			}
 			plan := smarts.PlanForN(p.Length, 1000, 2000, 250, smarts.FunctionalWarming, 0)
-			res, err := smarts.Run(p, cfg, plan)
+			res, err := smarts.Run(context.Background(), p, cfg, plan, smarts.EngineOptions{})
 			if err != nil {
 				t.Fatalf("Run: %v", err)
 			}
@@ -62,7 +64,8 @@ func TestSamplingMatchesTruth(t *testing.T) {
 }
 
 // TestWarmingReducesBias checks the paper's central qualitative claim:
-// no-warming sampling is more biased than functional-warming sampling.
+// no-warming sampling (the in-place loop) is more biased than
+// functional-warming sampling (the engine).
 func TestWarmingReducesBias(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full reference run is slow")
@@ -77,7 +80,7 @@ func TestWarmingReducesBias(t *testing.T) {
 
 	errAt := func(mode smarts.WarmingMode, w uint64) float64 {
 		plan := smarts.PlanForN(p.Length, 1000, w, 200, mode, 0)
-		res, err := smarts.Run(p, cfg, plan)
+		res, err := smarts.Run(context.Background(), p, cfg, plan, smarts.EngineOptions{})
 		if err != nil {
 			t.Fatalf("Run(%v): %v", mode, err)
 		}
@@ -110,11 +113,11 @@ func TestRunDeterministic(t *testing.T) {
 	p := genBench(t, "craftyx", 300_000)
 	cfg := uarch.Config8Way()
 	plan := smarts.PlanForN(p.Length, 1000, 1000, 50, smarts.FunctionalWarming, 0)
-	r1, err := smarts.Run(p, cfg, plan)
+	r1, err := smarts.Run(context.Background(), p, cfg, plan, smarts.EngineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := smarts.Run(p, cfg, plan)
+	r2, err := smarts.Run(context.Background(), p, cfg, plan, smarts.EngineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,12 +140,12 @@ func TestPhaseOffsetsDiffer(t *testing.T) {
 	if base.K < 2 {
 		t.Skip("population too small for phases")
 	}
-	r0, err := smarts.Run(p, cfg, base)
+	r0, err := smarts.Run(context.Background(), p, cfg, base, smarts.EngineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	base.J = base.K / 2
-	r1, err := smarts.Run(p, cfg, base)
+	r1, err := smarts.Run(context.Background(), p, cfg, base, smarts.EngineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -229,9 +229,10 @@ func TestCancelMidProcedure(t *testing.T) {
 	})
 }
 
-func TestCancelSerialLoop(t *testing.T) {
-	// The classic serial loop honors ctx between units and inside
-	// fast-forward gaps (no store involved).
+func TestCancelDetailedWarming(t *testing.T) {
+	// A DetailedWarming request runs on the in-place loop, which honors
+	// ctx between units and inside fast-forward gaps (no store
+	// involved).
 	sess, err := sim.Open()
 	if err != nil {
 		t.Fatal(err)
@@ -242,7 +243,7 @@ func TestCancelSerialLoop(t *testing.T) {
 
 	baseline := runtime.NumGoroutine()
 	var cancelledAt time.Time
-	req := cancelRequest(sim.SerialLoop())
+	req := cancelRequest(sim.Warming(sim.DetailedWarming))
 	req.Progress = func(p sim.Progress) {
 		if p.Kind == sim.EventRunStart && cancelledAt.IsZero() {
 			go func() {
@@ -261,7 +262,7 @@ func TestCancelSerialLoop(t *testing.T) {
 		t.Fatal("cancel never fired")
 	}
 	if lag := returned.Sub(cancelledAt); lag > promptness {
-		t.Fatalf("serial loop returned %v after cancel, want <= %v", lag, promptness)
+		t.Fatalf("in-place loop returned %v after cancel, want <= %v", lag, promptness)
 	}
 	waitGoroutines(t, baseline)
 }

@@ -44,8 +44,13 @@
 // deterministic stream-order estimate, and the current confidence
 // interval, replacing log-print scraping.
 //
-// Results are bit-identical to the historical entry points in
-// internal/smarts — Result, ProcedureResult, and friends are the same
-// types — at any worker count, with the store on or off. The
-// internal/smarts entry points remain as deprecated shims.
+// The warming mode picks the executor. Functional warming — the
+// default, and the paper's recommendation — runs on the checkpointed
+// parallel engine: results are bit-identical at any worker count, with
+// the store on or off. NoWarming and DetailedWarming run on the
+// in-place loop, whose units see the state the previous unit left
+// behind (the paper's Section 4.3 stale-state semantics); Workers, the
+// store, sweep deduplication and early termination do not apply to
+// them. Result, ProcedureResult, and friends are the internal/smarts
+// types, shared by alias.
 package sim

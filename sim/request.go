@@ -40,34 +40,29 @@ type Request struct {
 	// plan is executed at each offset, all phases measured from one
 	// shared functional sweep. J is ignored.
 	Offsets []uint64
-	// Warming selects the fast-forward warming mode. NewRequest
-	// defaults it to FunctionalWarming (the paper's recommendation);
-	// the type's zero value is NoWarming, so literal Requests start
+	// Warming selects the fast-forward warming mode, and with it the
+	// executor: FunctionalWarming (the paper's recommendation, and
+	// NewRequest's default) runs on the checkpointed engine; NoWarming
+	// and DetailedWarming run on the in-place loop, where each unit
+	// sees the state the previous unit left behind (paper Section 4.3).
+	// The type's zero value is NoWarming, so literal Requests start
 	// cold unless set.
 	Warming WarmingMode
 	// MaxUnits, when nonzero, caps the number of measured units.
 	MaxUnits int
 
 	// Workers sets the replay worker-pool size: 0 selects the session
-	// default, negative one worker per core. Ignored by SerialLoop
-	// runs. Results are bit-identical for every worker count.
+	// default, negative one worker per core. Results are bit-identical
+	// for every worker count. Runs without functional warming execute
+	// on the in-place loop and ignore it.
 	Workers int
-	// SerialLoop selects the classic in-place serial loop instead of
-	// the checkpointed engine: units observe state carried out of the
-	// previous unit's detailed simulation, reproducing the paper's
-	// original execution (and the repo's historical serial results)
-	// exactly. The checkpoint store and sweep deduplication do not
-	// apply.
-	SerialLoop bool
-	// TwoPhase runs the engine's capture-then-replay schedule instead
-	// of the streaming pipeline (comparison/benchmark use).
-	TwoPhase bool
 	// NoStore bypasses the session's checkpoint store for this run.
 	NoStore bool
 
 	// TargetEps, when positive, stops measuring units once the CPI
 	// estimate's relative confidence interval is within ±TargetEps;
-	// MinUnits guards the minimum sample size before stopping.
+	// MinUnits guards the minimum sample size before stopping. Early
+	// termination requires functional warming.
 	TargetEps float64
 	MinUnits  uint64
 	// Alpha is the confidence parameter for reported estimates and
@@ -167,13 +162,6 @@ func Machine(cfg Config) RequestOption { return func(r *Request) { r.Config = cf
 // per core).
 func Workers(n int) RequestOption { return func(r *Request) { r.Workers = n } }
 
-// SerialLoop selects the classic in-place serial loop (see
-// Request.SerialLoop).
-func SerialLoop() RequestOption { return func(r *Request) { r.SerialLoop = true } }
-
-// TwoPhase selects the capture-then-replay schedule.
-func TwoPhase() RequestOption { return func(r *Request) { r.TwoPhase = true } }
-
 // NoStore bypasses the session's checkpoint store for this run.
 func NoStore() RequestOption { return func(r *Request) { r.NoStore = true } }
 
@@ -236,11 +224,8 @@ func (r *Request) validate() error {
 	if r.Procedure != nil && len(r.Offsets) > 0 {
 		return fmt.Errorf("sim: procedure request cannot also sweep phase offsets")
 	}
-	if r.SerialLoop && r.TwoPhase {
-		return fmt.Errorf("sim: SerialLoop and TwoPhase are mutually exclusive")
-	}
-	if r.SerialLoop && r.TargetEps > 0 {
-		return fmt.Errorf("sim: early termination (TargetEps) requires the engine; remove SerialLoop")
+	if r.TargetEps > 0 && r.Warming != FunctionalWarming {
+		return fmt.Errorf("sim: early termination (TargetEps) requires functional warming")
 	}
 	return nil
 }

@@ -595,7 +595,6 @@ func (s *Session) engineOptions(req *Request, sink *progressSink, stage string, 
 		SweepParallelism: s.set.sweepPar,
 		SweepOverlap:     s.set.sweepOver,
 		ResumeInterval:   s.set.resumeInt,
-		TwoPhase:         req.TwoPhase,
 	}
 	if !req.NoStore {
 		opt.Store = s.store
@@ -624,34 +623,23 @@ func (s *Session) engineOptions(req *Request, sink *progressSink, stage string, 
 	return opt
 }
 
-// runPlan executes one sampling plan: the classic serial loop when the
-// request asks for it, the checkpointed engine otherwise — with
-// concurrent sweeps for the same store key deduplicated.
+// runPlan executes one sampling plan through smarts.Run, which picks
+// the executor from the warming mode; concurrent sweeps for the same
+// store key are deduplicated.
 func (s *Session) runPlan(ctx context.Context, req *Request, prog *program.Program, cfg Config, plan Plan, sink *progressSink, stage string) (*Result, error) {
 	sink.emit(Progress{Kind: EventRunStart, Stage: stage, Offset: plan.J})
 
+	opt := s.engineOptions(req, sink, stage, plan.J, plan, prog)
+	run := func() (*Result, error) {
+		return smarts.Run(ctx, prog, cfg, plan, opt)
+	}
 	var res *Result
 	var err error
-	if req.SerialLoop {
-		plan.Parallelism = 0
-		res, err = smarts.RunContext(ctx, prog, cfg, plan)
+	if dedupSweeps(req, plan, opt) {
+		key := checkpoint.KeyFor(prog, cfg, plan.CheckpointParams())
+		res, err = s.singleflight(ctx, key, run)
 	} else {
-		opt := s.engineOptions(req, sink, stage, plan.J, plan, prog)
-		run := func() (*Result, error) {
-			return smarts.RunSampledContext(ctx, prog, cfg, plan, opt)
-		}
-		// Sweep deduplication needs a committable sweep: early-terminated
-		// sweeps are incomplete and never persisted, so deduplicating
-		// them would only serialize the contenders behind leaders that
-		// can never produce a reusable entry. It works for storeless
-		// sessions too — the leader parks the captured set in the
-		// session's in-memory sweep cache.
-		if (opt.Store != nil || opt.Cache != nil) && req.TargetEps <= 0 {
-			key := checkpoint.KeyFor(prog, cfg, plan.CheckpointParams())
-			res, err = s.singleflight(ctx, key, run)
-		} else {
-			res, err = run()
-		}
+		res, err = run()
 	}
 	if err != nil {
 		return nil, err
@@ -664,6 +652,18 @@ func (s *Session) runPlan(ctx context.Context, req *Request, prog *program.Progr
 	return res, nil
 }
 
+// dedupSweeps reports whether a plan's sweep is worth deduplicating
+// across concurrent requests. That needs a sweep (a checkpointed plan)
+// that a store or cache can share, and one that is committable:
+// early-terminated sweeps are incomplete and never persisted, so
+// deduplicating them would only serialize the contenders behind leaders
+// that can never produce a reusable entry. It works for storeless
+// sessions too — the leader parks the captured set in the session's
+// in-memory sweep cache.
+func dedupSweeps(req *Request, plan Plan, opt smarts.EngineOptions) bool {
+	return plan.Checkpointed() && (opt.Store != nil || opt.Cache != nil) && req.TargetEps <= 0
+}
+
 func (s *Session) effAlpha(req *Request) float64 {
 	if req.Alpha != 0 {
 		return req.Alpha
@@ -671,32 +671,15 @@ func (s *Session) effAlpha(req *Request) float64 {
 	return s.set.alpha
 }
 
-// runPhases executes a multi-offset request: all offsets measured from
-// one shared sweep (deduplicated under the multi-offset store key).
+// runPhases executes a multi-offset request through smarts.RunPhases:
+// under functional warming all offsets are measured from one shared
+// sweep (deduplicated under the multi-offset store key).
 func (s *Session) runPhases(ctx context.Context, req *Request, prog *program.Program, cfg Config, sink *progressSink, alpha float64) (*Report, error) {
 	plan := s.plan(req, prog, cfg)
-	// Both execution modes enforce the same offset contract (the
-	// engine's multi-offset capture would reject j >= k; the serial
-	// loop must not silently wrap instead).
 	for _, j := range req.Offsets {
 		if j >= plan.K {
 			return nil, fmt.Errorf("sim: phase offset %d must be below the sampling interval %d", j, plan.K)
 		}
-	}
-	if req.SerialLoop {
-		// The serial loop has no shared-sweep form; run each offset's
-		// classic loop in sequence (bit-identical to individual runs).
-		results := make([]*Result, len(req.Offsets))
-		for i, j := range req.Offsets {
-			pj := plan
-			pj.J = j
-			res, err := s.runPlan(ctx, req, prog, cfg, pj, sink, "sample")
-			if err != nil {
-				return nil, err
-			}
-			results[i] = res
-		}
-		return phaseReport(req, results, alpha), nil
 	}
 
 	sink.emit(Progress{Kind: EventRunStart, Stage: "sample"})
@@ -737,11 +720,11 @@ func (s *Session) runPhases(ctx context.Context, req *Request, prog *program.Pro
 		}
 	}
 	run := func() ([]*Result, error) {
-		return smarts.RunSampledPhasesContext(ctx, prog, cfg, plan, req.Offsets, opt)
+		return smarts.RunPhases(ctx, prog, cfg, plan, req.Offsets, opt)
 	}
 	var results []*Result
 	var err error
-	if (opt.Store != nil || opt.Cache != nil) && req.TargetEps <= 0 {
+	if dedupSweeps(req, plan, opt) {
 		params := plan.CheckpointParams()
 		params.J = 0
 		params.Offsets = req.Offsets
@@ -848,39 +831,29 @@ func (s *Session) runExperiment(ctx context.Context, req *Request) (*Report, err
 }
 
 // expContext returns the session's shared experiment context for a
-// (scale, execution mode) pair, creating it on first use. Program and
-// reference caches are shared across every experiment request with the
-// same pair. SerialLoop requests keep the experiments on the classic
-// serial path — the mode that regenerates the historical figures and
-// tables exactly.
+// scale, creating it on first use. Program and reference caches are
+// shared across every experiment request with the same scale and store
+// setting.
 func (s *Session) expContext(scale string, req *Request) (*experiments.Context, error) {
 	sc, err := experiments.ScaleByName(scale)
 	if err != nil {
 		return nil, err
 	}
-	par := s.workers(req)
-	if req.SerialLoop {
-		par = 0
-	}
-	useStore := !req.NoStore && s.store != nil && par != 0
-	// The cache key carries every execution knob baked into the
-	// context, so a NoStore request never inherits a store-attached
-	// context (or vice versa). Worker counts beyond serial-vs-engine
-	// are deliberately NOT in the key: engine results are bit-identical
-	// at any count, and the context's expensive reference cache should
-	// be shared across them (the first engine request's count sticks).
-	mode := "engine"
-	if par == 0 {
-		mode = "serial"
-	}
-	key := fmt.Sprintf("%s/%s/store=%v", scale, mode, useStore)
+	useStore := !req.NoStore && s.store != nil
+	// The cache key carries the store setting baked into the context,
+	// so a NoStore request never inherits a store-attached context (or
+	// vice versa). Worker counts are deliberately NOT in the key:
+	// engine results are bit-identical at any count, and the context's
+	// expensive reference cache should be shared across them (the first
+	// request's count sticks).
+	key := fmt.Sprintf("%s/store=%v", scale, useStore)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if ec, ok := s.exps[key]; ok {
 		return ec, nil
 	}
 	ec := experiments.NewContext(sc)
-	ec.Parallelism = par
+	ec.Parallelism = s.workers(req)
 	if useStore {
 		ec.Ckpt = s.store
 	}

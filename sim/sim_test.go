@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/experiments"
 	"repro/internal/program"
 	"repro/internal/smarts"
@@ -48,13 +49,13 @@ func sameMeasurement(t *testing.T, label string, got, want *sim.Result) {
 	}
 }
 
-// TestPlainBitIdentical pins Session.Run's plain engine mode to the
-// pre-refactor smarts entry points at several worker counts.
+// TestPlainBitIdentical pins Session.Run's plain engine mode to
+// smarts.Run at several worker counts.
 func TestPlainBitIdentical(t *testing.T) {
 	p := testProg(t)
 	cfg := uarch.Config8Way()
 	plan := smarts.PlanForN(p.Length, 1000, smarts.RecommendedW(cfg), 80, smarts.FunctionalWarming, 0)
-	want, err := smarts.RunSampled(p, cfg, plan, smarts.EngineOptions{Workers: 1})
+	want, err := smarts.Run(context.Background(), p, cfg, plan, smarts.EngineOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,38 +75,75 @@ func TestPlainBitIdentical(t *testing.T) {
 	}
 }
 
-// TestSerialLoopBitIdentical pins the SerialLoop mode to the classic
-// in-place serial path.
-func TestSerialLoopBitIdentical(t *testing.T) {
+// TestNonFunctionalWarmingMatchesLoop pins DetailedWarming and
+// NoWarming requests — plain and multi-offset — to the in-place loop
+// smarts.Run selects for them, and checks they do not take the engine,
+// whose cold-launched units measure differently.
+func TestNonFunctionalWarmingMatchesLoop(t *testing.T) {
 	p := testProg(t)
 	cfg := uarch.Config8Way()
-	plan := smarts.PlanForN(p.Length, 1000, smarts.RecommendedW(cfg), 60, smarts.FunctionalWarming, 0)
-	want, err := smarts.Run(p, cfg, plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-
+	bg := context.Background()
 	sess, err := sim.Open()
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sess.Close()
-	rep, err := sess.Run(context.Background(), sim.NewRequest(testBench,
-		sim.Length(testLen), sim.Units(60), sim.SerialLoop()))
-	if err != nil {
-		t.Fatal(err)
+	for _, mode := range []sim.WarmingMode{sim.DetailedWarming, sim.NoWarming} {
+		req := func(opts ...sim.RequestOption) *sim.Request {
+			base := []sim.RequestOption{sim.Length(testLen), sim.Units(60), sim.Warming(mode), sim.Warmup(1000)}
+			return sim.NewRequest(testBench, append(base, opts...)...)
+		}
+		plan := sim.ResolvePlan(req(), p)
+		want, err := smarts.Run(bg, p, cfg, plan, smarts.EngineOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := sess.Run(bg, req(sim.Workers(3)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameMeasurement(t, mode.String(), rep.Result(), want)
+
+		cold, err := engine.Run(bg, p, cfg, plan.CheckpointParams(), engine.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var loopCycles, coldCycles uint64
+		for _, u := range want.Units {
+			loopCycles += u.Cycles
+		}
+		for _, u := range cold.Units {
+			coldCycles += u.Cycles
+		}
+		if loopCycles == coldCycles {
+			t.Fatalf("%v: loop and cold-launch engine agree (%d cycles); the executor check has no power", mode, loopCycles)
+		}
+
+		js := []uint64{0, 1}
+		phases, err := sess.Run(bg, req(sim.Phases(js...)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, j := range js {
+			pj := plan
+			pj.J = j
+			single, err := smarts.Run(bg, p, cfg, pj, smarts.EngineOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameMeasurement(t, mode.String()+" phase", phases.Results[i], single)
+		}
 	}
-	sameMeasurement(t, "serial", rep.Result(), want)
 }
 
 // TestPhasesBitIdentical pins multi-offset requests to
-// smarts.RunSampledPhases, offset by offset.
+// smarts.RunPhases, offset by offset.
 func TestPhasesBitIdentical(t *testing.T) {
 	p := testProg(t)
 	cfg := uarch.Config8Way()
 	plan := smarts.PlanForN(p.Length, 1000, smarts.RecommendedW(cfg), 60, smarts.FunctionalWarming, 0)
 	js := []uint64{0, 2, 4}
-	want, err := smarts.RunSampledPhases(p, cfg, plan, js, smarts.EngineOptions{Workers: 2})
+	want, err := smarts.RunPhases(context.Background(), p, cfg, plan, js, smarts.EngineOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,14 +167,13 @@ func TestPhasesBitIdentical(t *testing.T) {
 }
 
 // TestProcedureBitIdentical pins procedure requests to
-// smarts.RunProcedure, both steps.
+// smarts.RunProcedureWith, both steps.
 func TestProcedureBitIdentical(t *testing.T) {
 	p := testProg(t)
 	cfg := uarch.Config8Way()
 	pc := smarts.DefaultProcedure(cfg, 60)
 	pc.Eps = 0.05
-	pc.Parallelism = 2
-	want, err := smarts.RunProcedure(p, cfg, pc)
+	want, err := smarts.RunProcedureWith(context.Background(), p, cfg, pc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +213,7 @@ func TestStoreBitIdentical(t *testing.T) {
 	p := testProg(t)
 	cfg := uarch.Config8Way()
 	plan := smarts.PlanForN(p.Length, 1000, smarts.RecommendedW(cfg), 80, smarts.FunctionalWarming, 0)
-	want, err := smarts.RunSampled(p, cfg, plan, smarts.EngineOptions{Workers: 2})
+	want, err := smarts.Run(context.Background(), p, cfg, plan, smarts.EngineOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +260,7 @@ func TestExperimentMatchesRegistry(t *testing.T) {
 	}
 	defer sess.Close()
 	rep, err := sess.Run(context.Background(),
-		sim.NewExperiment("fig4", sim.AtScale("tiny"), sim.SerialLoop()))
+		sim.NewExperiment("fig4", sim.AtScale("tiny")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,6 +285,7 @@ func TestRequestValidation(t *testing.T) {
 		sim.NewRequest("gzipx", sim.Confidence(1.5)),
 		sim.NewRequest("gzipx", sim.Procedure(sim.ProcedureSpec{Alpha: -1})),
 		sim.NewRequest("gzipx", sim.Units(60), sim.Phases(1_000_000)), // offset >= interval
+		sim.NewRequest("gzipx", sim.Warming(sim.DetailedWarming), sim.EarlyStop(0.05, 10)),
 	} {
 		if _, err := sess.Run(context.Background(), req); err == nil {
 			t.Fatalf("request %+v unexpectedly accepted", req)

@@ -125,8 +125,8 @@ type Engine struct {
 // RegisterEngine installs the execution flags.
 func RegisterEngine(fs *flag.FlagSet) *Engine {
 	return &Engine{
-		Parallel:     fs.Int("parallel", 0, "checkpointed parallel engine workers (0 = classic serial path, -1 = all cores)"),
-		CkptDir:      fs.String("ckpt-dir", "", "on-disk checkpoint store directory; sweeps are saved and reused across runs (empty = in-memory only; requires -parallel)"),
+		Parallel:     fs.Int("parallel", 0, "checkpointed engine workers for functional-warming runs (0 or negative = one per core; detailed and no warming run the in-place loop, which ignores it)"),
+		CkptDir:      fs.String("ckpt-dir", "", "on-disk checkpoint store directory; functional-warming sweeps are saved and reused across runs (empty = in-memory only)"),
 		CkptMax:      fs.Int64("ckpt-max-bytes", 0, "LRU size cap for the checkpoint store in bytes; each save evicts the least recently used entries over the cap (0 = unbounded)"),
 		MemCacheMax:  fs.Int64("mem-cache-bytes", 0, "LRU size cap for the in-memory sweep cache of storeless sessions, in snapshot-payload bytes (0 = unbounded; ignored with -ckpt-dir)"),
 		Keyframe:     fs.Int("keyframe", 0, "full-snapshot interval of delta-encoded checkpoints: every n-th captured unit is a keyframe, units between carry dirty-block/dirty-page deltas (0 = built-in default, 1 = full snapshots only; results are identical either way)"),
@@ -136,10 +136,9 @@ func RegisterEngine(fs *flag.FlagSet) *Engine {
 	}
 }
 
-// SessionOptions translates the engine flags into sim.Open options,
-// warning on stderr (prefixed by prog) when -ckpt-dir is combined with
-// the serial path, exactly as the old binaries did.
-func (e *Engine) SessionOptions(prog string) []sim.Option {
+// SessionOptions translates the engine flags into sim.Open options;
+// store log lines go to stderr.
+func (e *Engine) SessionOptions() []sim.Option {
 	var opts []sim.Option
 	if *e.Keyframe != 0 {
 		// Invalid (negative) values flow through so sim.Open reports
@@ -159,32 +158,20 @@ func (e *Engine) SessionOptions(prog string) []sim.Option {
 		opts = append(opts, sim.WithSweepOverlap(*e.SweepOverlap))
 	}
 	if *e.CkptDir != "" {
-		if *e.Parallel == 0 {
-			fmt.Fprintf(os.Stderr, "%s: -ckpt-dir requires the checkpointed engine; ignoring it on the classic serial path (set -parallel)\n", prog)
-		} else {
-			opts = append(opts, sim.WithStore(*e.CkptDir))
-			if *e.CkptMax != 0 {
-				opts = append(opts, sim.WithStoreLimit(*e.CkptMax))
-			}
-			opts = append(opts, sim.WithLog(func(format string, args ...any) {
-				fmt.Fprintf(os.Stderr, format+"\n", args...)
-			}))
+		opts = append(opts, sim.WithStore(*e.CkptDir))
+		if *e.CkptMax != 0 {
+			opts = append(opts, sim.WithStoreLimit(*e.CkptMax))
 		}
+		opts = append(opts, sim.WithLog(func(format string, args ...any) {
+			fmt.Fprintf(os.Stderr, format+"\n", args...)
+		}))
 	}
 	return opts
 }
 
-// Apply copies the execution flags onto a request: -parallel 0 keeps
-// the classic serial loop, n >= 1 runs n workers, negative one per
-// core.
-func (e *Engine) Apply(req *sim.Request) {
-	switch {
-	case *e.Parallel == 0:
-		req.SerialLoop = true
-	default:
-		req.Workers = *e.Parallel
-	}
-}
+// Apply copies the execution flags onto a request: -parallel sets the
+// engine worker count (0 or negative: one per core).
+func (e *Engine) Apply(req *sim.Request) { req.Workers = *e.Parallel }
 
 // Dist groups the fleet fault-tolerance flags of the distributed
 // binaries. Each role registers only its own side: the coordinator
