@@ -256,14 +256,14 @@ func BenchmarkEngineSerialVsParallel(b *testing.B) {
 	bg := context.Background()
 	for i := 0; i < b.N; i++ {
 		start := time.Now()
-		serial, err := smarts.Run(bg, p, cfg, plan, smarts.EngineOptions{Workers: 1})
+		serial, err := smarts.Run(bg, p, cfg, plan, smarts.EngineOptions{Options: engine.Options{Workers: 1}})
 		if err != nil {
 			b.Fatal(err)
 		}
 		serialTime := time.Since(start)
 
 		start = time.Now()
-		par, err := smarts.Run(bg, p, cfg, plan, smarts.EngineOptions{Workers: 4})
+		par, err := smarts.Run(bg, p, cfg, plan, smarts.EngineOptions{Options: engine.Options{Workers: 4}})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -307,7 +307,7 @@ func BenchmarkEnginePipelined(b *testing.B) {
 	cfg := uarch.Config8Way()
 	plan := smarts.PlanForN(p.Length, 1000, smarts.RecommendedW(cfg), 400,
 		smarts.FunctionalWarming, 0)
-	opt := func() smarts.EngineOptions { return smarts.EngineOptions{Workers: 4} }
+	opt := func() smarts.EngineOptions { return smarts.EngineOptions{Options: engine.Options{Workers: 4}} }
 	bg := context.Background()
 	for i := 0; i < b.N; i++ {
 		start := time.Now()
@@ -427,7 +427,7 @@ func BenchmarkDistributedLoopback(b *testing.B) {
 	cache := checkpoint.NewMemCache()
 	local := func() (*smarts.Result, time.Duration) {
 		start := time.Now()
-		res, err := smarts.Run(context.Background(), p, cfg, plan, smarts.EngineOptions{Workers: 4, Cache: cache})
+		res, err := smarts.Run(context.Background(), p, cfg, plan, smarts.EngineOptions{Options: engine.Options{Workers: 4, Cache: cache}})
 		if err != nil {
 			b.Fatal(err)
 		}

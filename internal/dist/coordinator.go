@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/checkpoint"
+	"repro/internal/engine"
 	"repro/internal/program"
 	"repro/internal/smarts"
 	"repro/internal/stats"
@@ -96,7 +97,6 @@ type Coordinator struct {
 	workers []*workerRef
 	claims  map[string]claimState
 	active  map[string]*activeRun
-	progs   map[progKey]*program.Program
 	// runs holds every known run by ID — executing, queued, and (capped
 	// by maxFinishedRuns, in finished order) terminal, so late
 	// re-attaches can still fetch the outcome.
@@ -109,6 +109,8 @@ type Coordinator struct {
 	// when the completed sweep arrives; with a store attached they are
 	// also persisted as *.partial files, surviving coordinator restarts.
 	partials map[string][]byte
+
+	progs programs
 }
 
 // maxFinishedRuns bounds how many terminal runs stay addressable for
@@ -128,9 +130,42 @@ type activeRun struct {
 	refs    int
 }
 
+// programs caches generated workloads by (name, length); coordinator
+// and worker both regenerate a run's program from its spec.
+type programs struct {
+	mu sync.Mutex
+	m  map[progKey]*program.Program
+}
+
 type progKey struct {
 	name   string
 	length uint64
+}
+
+// get returns the generated program for (name, length), cached.
+func (ps *programs) get(name string, length uint64) (*program.Program, error) {
+	key := progKey{name, length}
+	ps.mu.Lock()
+	p, ok := ps.m[key]
+	ps.mu.Unlock()
+	if ok {
+		return p, nil
+	}
+	spec, err := program.ByName(name)
+	if err != nil {
+		return nil, err
+	}
+	p, err = program.Generate(spec, length)
+	if err != nil {
+		return nil, err
+	}
+	ps.mu.Lock()
+	if ps.m == nil {
+		ps.m = make(map[progKey]*program.Program)
+	}
+	ps.m[key] = p
+	ps.mu.Unlock()
+	return p, nil
 }
 
 // workerRef is one registered worker.
@@ -204,7 +239,6 @@ func NewCoordinator(opt Options) (*Coordinator, error) {
 		slots:    make(chan struct{}, opt.MaxActive),
 		claims:   make(map[string]claimState),
 		active:   make(map[string]*activeRun),
-		progs:    make(map[progKey]*program.Program),
 		runs:     make(map[string]*runState),
 		partials: make(map[string][]byte),
 		epoch:    randHex(8),
@@ -309,29 +343,6 @@ func (c *Coordinator) liveWorkers() []*workerRef {
 	return live
 }
 
-// workload returns the generated program for (name, length), cached.
-func (c *Coordinator) workload(name string, length uint64) (*program.Program, error) {
-	key := progKey{name, length}
-	c.mu.Lock()
-	p, ok := c.progs[key]
-	c.mu.Unlock()
-	if ok {
-		return p, nil
-	}
-	spec, err := program.ByName(name)
-	if err != nil {
-		return nil, err
-	}
-	p, err = program.Generate(spec, length)
-	if err != nil {
-		return nil, err
-	}
-	c.mu.Lock()
-	c.progs[key] = p
-	c.mu.Unlock()
-	return p, nil
-}
-
 // retainRun pins the run's key in the active table so the sweep and
 // claim endpoints can serve its hash.
 func (c *Coordinator) retainRun(hash string, key checkpoint.Key, noStore bool) {
@@ -388,7 +399,7 @@ func (c *Coordinator) resolve(wr *wireRequest) (*resolvedRun, error) {
 	if length == 0 {
 		length = sim.DefaultLength
 	}
-	prog, err := c.workload(req.Workload, length)
+	prog, err := c.progs.get(req.Workload, length)
 	if err != nil {
 		return nil, err
 	}
@@ -413,7 +424,7 @@ func (c *Coordinator) resolve(wr *wireRequest) (*resolvedRun, error) {
 // spec — the already-resolved plan, not the raw request, so recovery
 // cannot re-resolve differently.
 func (c *Coordinator) resolveSpec(hdr *journalRun) (*resolvedRun, error) {
-	prog, err := c.workload(hdr.Spec.Workload, hdr.Spec.Length)
+	prog, err := c.progs.get(hdr.Spec.Workload, hdr.Spec.Length)
 	if err != nil {
 		return nil, err
 	}
@@ -724,7 +735,7 @@ func (c *Coordinator) runResolved(rs *runState) (*sim.Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	alpha := alphaOr997(rs.wr.Alpha)
+	alpha := run.fold.Alpha()
 	rep := &sim.Report{Results: []*sim.Result{res}, Elapsed: wallclock.Since(start)}
 	if len(res.Units) > 0 {
 		rep.CPI = res.CPIEstimate(alpha)
@@ -808,11 +819,14 @@ type shardedRun struct {
 	pop    uint64
 	total  int
 	shards int
-	m      *merger
+	fold   *engine.Fold
+	// cancelDispatch aborts every in-flight shard request; an offer that
+	// lets early termination fix the cutoff fires it.
+	cancelDispatch context.CancelFunc
 
-	// smu guards the merge and the shard bookkeeping below; merger
-	// offers and journal appends are serialized under it (one lock,
-	// because the merge IS the shared state of the run).
+	// smu guards the fold and the shard bookkeeping below; fold offers
+	// and journal appends are serialized under it (one lock, because the
+	// fold IS the shared state of the run).
 	smu       sync.Mutex
 	pending   chan shardRange
 	remaining int
@@ -901,19 +915,20 @@ func (r *shardedRun) run(ctx context.Context) (*smarts.Result, error) {
 	r.sink.emit(sim.Progress{Kind: sim.EventRunStart, Stage: "sample", Offset: r.plan.J,
 		Population: r.pop, Total: r.total})
 
-	alpha := alphaOr997(r.wr.Alpha)
-	r.m = newMerger(r.plan.U, alpha, r.wr.TargetEps, r.wr.MinUnits, r.total)
+	replayStart := wallclock.Now()
+	r.fold = engine.NewFold(r.plan.U, engine.Options{
+		Alpha:     r.wr.Alpha,
+		TargetEps: r.wr.TargetEps,
+		MinUnits:  r.wr.MinUnits,
+		OnReplayed: func(merged int, est stats.Estimate) {
+			r.sink.emit(sim.Progress{Kind: sim.EventUnitReplayed, Stage: "sample", Offset: r.plan.J,
+				Replayed: merged, Estimate: est, Population: r.pop, Total: r.total,
+				ETA: wallclock.ETA(replayStart, merged, r.total)})
+		},
+	}, r.total)
 	dispatchCtx, cancelDispatch := context.WithCancel(ctx)
 	defer cancelDispatch()
-	replayStart := wallclock.Now()
-	r.m.onFold = func(merged uint64, est stats.Estimate) {
-		r.sink.emit(sim.Progress{Kind: sim.EventUnitReplayed, Stage: "sample", Offset: r.plan.J,
-			Replayed: int(merged), Estimate: est, Population: r.pop, Total: r.total,
-			ETA: etaFrom(replayStart, int(merged), r.total)})
-	}
-	// Early termination broadcasts a stop: cancelling the dispatch
-	// context aborts every in-flight shard request fleet-wide.
-	r.m.onStop = cancelDispatch
+	r.cancelDispatch = cancelDispatch
 
 	r.pending = make(chan shardRange, r.shards+len(workers))
 	r.remaining = r.shards
@@ -944,7 +959,7 @@ func (r *shardedRun) run(ctx context.Context) (*smarts.Result, error) {
 	switch {
 	case r.runErr != nil:
 		return nil, r.runErr
-	case r.m.earlyStopped():
+	case r.fold.EarlyStopped():
 		// The cutoff prefix is complete; outstanding shards were only
 		// producing surplus units beyond it.
 	case ctx.Err() != nil:
@@ -961,11 +976,24 @@ func (r *shardedRun) run(ctx context.Context) (*smarts.Result, error) {
 	if r.trailer != nil {
 		td = *r.trailer
 	}
-	res := r.m.finalize(r.plan, td, r.anySwept)
+	var er engine.Result
+	r.fold.Finish(&er)
+	res := &smarts.Result{
+		Plan:            r.plan,
+		Units:           er.Units,
+		PopulationUnits: td.Population,
+		MeasuredInsts:   er.MeasuredInsts,
+		WarmingInsts:    er.WarmingInsts,
+		FastFwdInsts:    td.SweepInsts,
+		FastFwdTime:     time.Duration(td.SweepTimeNs),
+		DetailedTime:    er.DetailedTime,
+		// No shard swept in this run: the fleet analogue of a store hit.
+		SweepCached: !r.anySwept,
+	}
 	done := sim.Progress{Kind: sim.EventRunDone, Stage: "sample", Offset: r.plan.J,
 		Replayed: len(res.Units), Cached: res.SweepCached, Population: r.pop, Total: r.total}
 	if len(res.Units) > 0 {
-		done.Estimate = res.CPIEstimate(alpha)
+		done.Estimate = res.CPIEstimate(r.fold.Alpha())
 	}
 	r.sink.emit(done)
 	return res, nil
@@ -984,7 +1012,7 @@ func (r *shardedRun) replayJournal(shards []shardRange) {
 	merged := make(map[int]bool, len(rec.units))
 	for i := range rec.units {
 		merged[rec.units[i].Seq] = true
-		r.m.offer(rec.units[i])
+		r.offer(&rec.units[i])
 	}
 	doneIdx := make(map[int]bool, len(rec.dones))
 	for i := range rec.dones {
@@ -1014,11 +1042,13 @@ func (r *shardedRun) replayJournal(shards []shardRange) {
 	}
 }
 
-func alphaOr997(alpha float64) float64 {
-	if alpha == 0 {
-		return stats.Alpha997
+// offer folds one verified unit; the caller holds smu. Early
+// termination broadcasts a stop: cancelling the dispatch context aborts
+// every in-flight shard request fleet-wide.
+func (r *shardedRun) offer(u *wireUnit) {
+	if r.fold.Offer(u.rangeUnit()) {
+		r.cancelDispatch()
 	}
-	return alpha
 }
 
 // workerLoop pulls shard ranges for one worker until the pool drains,
@@ -1160,7 +1190,7 @@ func (r *shardedRun) runShard(ctx context.Context, w *workerRef, sr shardRange) 
 			}
 			r.smu.Lock()
 			r.journal.append(journalLine{Unit: rec.Unit})
-			r.m.offer(*rec.Unit)
+			r.offer(rec.Unit)
 			r.smu.Unlock()
 			received++
 			if ok, _ := r.c.opt.Faults.fire(FaultKillCoordinator); ok {
@@ -1203,15 +1233,6 @@ func (s *eventSink) emit(ev sim.Progress) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.fn(ev)
-}
-
-// etaFrom extrapolates remaining time from the observed rate.
-func etaFrom(start time.Time, done, total int) time.Duration {
-	if done <= 0 || total <= 0 || done >= total {
-		return 0
-	}
-	elapsed := wallclock.Since(start)
-	return time.Duration(float64(elapsed) / float64(done) * float64(total-done))
 }
 
 // Handler returns the coordinator's HTTP API. After die (the injected

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/program"
 	"repro/internal/smarts"
 	"repro/internal/uarch"
@@ -59,12 +60,12 @@ func baseline(t *testing.T, req *sim.Request) *smarts.Result {
 	prog := testProg(t)
 	cfg := uarch.Config8Way()
 	plan := sim.ResolvePlan(req, prog)
-	res, err := smarts.Run(context.Background(), prog, cfg, plan, smarts.EngineOptions{
+	res, err := smarts.Run(context.Background(), prog, cfg, plan, smarts.EngineOptions{Options: engine.Options{
 		Workers:   1,
 		TargetEps: req.TargetEps,
 		MinUnits:  req.MinUnits,
 		Alpha:     req.Alpha,
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,10 +1,10 @@
 // Package dist turns the sampling service into a distributed one: a
 // coordinator shards a sim.Request's sampled units into contiguous
 // ranges, dispatches them to workers over HTTP/JSON (stdlib only), and
-// merges the shard streams through the same deterministic stream-order
-// aggregation a single machine uses — so the final report is
-// bit-identical to a local engine run at any (machine × worker) count,
-// including under confidence-targeted early termination.
+// folds the shard streams through engine.Fold, the deterministic
+// stream-order aggregation a single machine uses — so the final report
+// is bit-identical to a local engine run at any (machine × worker)
+// count, including under confidence-targeted early termination.
 //
 // # Why sharding is free
 //
@@ -13,10 +13,12 @@
 // independent too: each unit's measurement is a pure function of its
 // captured launch snapshot. A shard therefore needs nothing from its
 // neighbors — only the shared snapshot Set and its [lo, hi) range of
-// stream positions — and the merge is a pure reordering problem,
-// solved by stats.StreamAggregator exactly as it is for local worker
-// pools. Units are merged by stream index, never by arrival order, so
-// worker death, retries, and scheduling cannot perturb the estimate.
+// stream positions, which engine.ReplayRange replays — and the merge is
+// a pure reordering problem. The coordinator converts each streamed
+// unit back to an engine.RangeUnit and offers it to an engine.Fold,
+// the same fold the local worker pool feeds. The fold keys every rule
+// by stream index, never by arrival order, so worker death, retries,
+// and scheduling cannot perturb the estimate.
 //
 // # Protocol
 //
@@ -42,12 +44,12 @@
 //	                         until it beats again.
 //	POST /v1/claims          fleet-wide sweep singleflight (see below).
 //	GET  /v1/sweeps/{hash}   fetch a captured sweep, encoded in the
-//	                         checkpoint store's format-v3 byte stream.
+//	                         checkpoint store's byte format.
 //	PUT  /v1/sweeps/{hash}   upload a freshly captured sweep.
 //	GET  /v1/partials/{hash} fetch the sweep's current partial journal
 //	                         (404 = sweep cold).
 //	PUT  /v1/partials/{hash} upload a sweep owner's partial journal
-//	                         (the store's format-v3 partial record;
+//	                         (the store's partial record format;
 //	                         validated against the run's key, rejected
 //	                         if corrupt).
 //	GET  /v1/healthz         readiness.
@@ -137,8 +139,8 @@
 // then one checksummed line per merged unit and per completed shard
 // trailer, flushed as they land. A restarted coordinator replays each
 // journal's longest valid prefix: merged units are re-offered to a
-// fresh stream-order merge (offer order is irrelevant — the merge is a
-// pure function of the offered set), finished shards are absorbed from
+// fresh engine.Fold (offer order is irrelevant — the fold is a pure
+// function of the offered set), finished shards are absorbed from
 // their trailers, and each surviving shard is requeued from the first
 // stream position after its journaled contiguous prefix. Exactly-once
 // offer semantics hold across the crash: a journaled unit is never
@@ -195,10 +197,10 @@
 //
 // # Early termination and admission
 //
-// The coordinator folds in-order prefixes as shard streams arrive;
-// when the target confidence interval is met it fixes the same cutoff
-// a local run would (StreamAggregator.DoneAt) and broadcasts a stop by
-// cancelling all in-flight shard requests. Admission control bounds
+// The coordinator's engine.Fold folds in-order prefixes as shard
+// streams arrive; when the target confidence interval is met it fixes
+// the same cutoff a local run would, and the coordinator broadcasts a
+// stop by cancelling all in-flight shard requests. Admission control bounds
 // concurrent runs (MaxActive) with a bounded wait queue (MaxQueue)
 // honoring context deadlines; beyond both, runs fail fast with
 // ErrBusy.

@@ -1,11 +1,14 @@
 package dist
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"testing"
 
-	"repro/internal/smarts"
+	"repro/internal/checkpoint"
+	"repro/internal/engine"
+	"repro/internal/uarch"
 )
 
 // synthUnits builds a synthetic replay stream of n units with randomized
@@ -33,15 +36,46 @@ func synthUnits(rng *rand.Rand, n, partialAt int) []wireUnit {
 	return units
 }
 
+// shardedOrder returns an arrival order of the stream positions [0, n)
+// split into at most parts contiguous shards: a random interleaving that
+// preserves only per-shard order, exactly what concurrent shard streams
+// deliver.
+func shardedOrder(rng *rand.Rand, n, parts int) []int {
+	shards := splitRange(n, parts)
+	next := make([]int, len(shards))
+	order := make([]int, 0, n)
+	for len(order) < n {
+		s := rng.Intn(len(shards))
+		if sr := shards[s]; sr.lo+next[s] < sr.hi {
+			order = append(order, sr.lo+next[s])
+			next[s]++
+		}
+	}
+	return order
+}
+
+// foldWire offers units in the given order through the engine fold,
+// converting each at the wire boundary as the coordinator does.
+func foldWire(units []wireUnit, order []int, u uint64, opt engine.Options) *engine.Result {
+	f := engine.NewFold(u, opt, len(units))
+	for _, i := range order {
+		f.Offer(units[i].rangeUnit())
+	}
+	res := &engine.Result{}
+	f.Finish(res)
+	return res
+}
+
 // TestMergeOrderInvariance is the shard-merge property test: splitting a
-// replay stream into K contiguous ranges and merging the units in any
+// replay stream into K contiguous ranges and folding the units in any
 // interleaved arrival order reproduces the unsharded (single-range,
 // in-order) fold byte for byte — including the early-termination cutoff
-// and partial-unit truncation.
+// and partial-unit truncation. On a real captured set, the units
+// ReplayRange streams, sent through the wire form and folded in a
+// sharded interleaving, reproduce RunSet's result.
 func TestMergeOrderInvariance(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	plan := smarts.Plan{U: 1000, W: 2000, K: 10, J: 3}
-	trailer := shardDone{Captured: 140, Population: 600, SweepInsts: 600_000, SweepTimeNs: 12345}
+	const planU = 1000
 
 	for trial := 0; trial < 300; trial++ {
 		n := 20 + rng.Intn(120)
@@ -49,49 +83,77 @@ func TestMergeOrderInvariance(t *testing.T) {
 		if rng.Intn(3) == 0 {
 			partialAt = rng.Intn(n)
 		}
-		var eps float64
-		var minUnits uint64
+		var opt engine.Options
 		if rng.Intn(2) == 0 {
-			eps = 0.02 + rng.Float64()*0.3
-			minUnits = uint64(2 + rng.Intn(10))
+			opt.TargetEps = 0.02 + rng.Float64()*0.3
+			opt.MinUnits = uint64(2 + rng.Intn(10))
 		}
 		units := synthUnits(rng, n, partialAt)
 
-		// Unsharded reference: one range covering the whole stream,
-		// offered strictly in stream order.
-		ref := newMerger(plan.U, 0, eps, minUnits, n)
-		for _, u := range units {
-			ref.offer(u)
+		inOrder := make([]int, n)
+		for i := range inOrder {
+			inOrder[i] = i
 		}
-		want := ref.finalize(plan, trailer, false)
-
-		// Sharded: K contiguous ranges, units arriving in a random
-		// interleaving that preserves only per-shard order (exactly what
-		// concurrent shard streams deliver).
-		shards := splitRange(n, 1+rng.Intn(8))
-		next := make([]int, len(shards))
-		m := newMerger(plan.U, 0, eps, minUnits, n)
-		for remaining := n; remaining > 0; {
-			s := rng.Intn(len(shards))
-			sr := shards[s]
-			if next[s] >= sr.hi-sr.lo {
-				continue
-			}
-			m.offer(units[sr.lo+next[s]])
-			next[s]++
-			remaining--
+		want := foldWire(units, inOrder, planU, opt)
+		// The partial unit cuts the stream: only the units before it
+		// survive, fewer when early termination cut first.
+		keep := n
+		if partialAt >= 0 {
+			keep = partialAt
 		}
-		got := m.finalize(plan, trailer, false)
-
-		if m.earlyStopped() != ref.earlyStopped() {
-			t.Fatalf("trial %d: early-stop disagreement (sharded %v, unsharded %v)",
-				trial, m.earlyStopped(), ref.earlyStopped())
+		if len(want.Units) > keep || (!want.EarlyStopped && len(want.Units) != keep) {
+			t.Fatalf("trial %d (n=%d eps=%g partial=%d): in-order fold kept %d units (early stop %v), want %d",
+				trial, n, opt.TargetEps, partialAt, len(want.Units), want.EarlyStopped, keep)
 		}
+		parts := 1 + rng.Intn(8)
+		got := foldWire(units, shardedOrder(rng, n, parts), planU, opt)
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d (n=%d shards=%d eps=%g partial=%d): sharded merge diverged:\n got %+v\nwant %+v",
-				trial, n, len(shards), eps, partialAt, got, want)
+			t.Fatalf("trial %d (n=%d shards=%d eps=%g partial=%d): sharded fold diverged:\n got %+v\nwant %+v",
+				trial, n, parts, opt.TargetEps, partialAt, got, want)
 		}
 	}
+
+	t.Run("captured-set", func(t *testing.T) {
+		prog := testProg(t)
+		cfg := uarch.Config8Way()
+		bg := context.Background()
+		p := checkpoint.Params{U: planU, W: 2000, K: 10, FunctionalWarm: true}
+		set, err := checkpoint.Capture(bg, prog, cfg, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := len(set.Units)
+		var units []wireUnit
+		err = engine.ReplayRange(bg, prog, cfg, p.U, set, 0, n, engine.Options{Workers: 2}, func(ru engine.RangeUnit) bool {
+			units = append(units, *wireUnitFrom(ru))
+			return true
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, opt := range []engine.Options{{}, {TargetEps: 0.3, MinUnits: 8}} {
+			ref, err := engine.RunSet(bg, prog, cfg, p.U, set, engine.Options{Workers: 3, TargetEps: opt.TargetEps, MinUnits: opt.MinUnits})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if opt.TargetEps > 0 && !ref.EarlyStopped {
+				t.Fatalf("eps=%g: RunSet did not stop early; the case tests nothing", opt.TargetEps)
+			}
+			got := foldWire(units, shardedOrder(rng, n, 5), p.U, opt)
+			// Wall-clock fields are excluded: RunSet and ReplayRange timed
+			// different replays of the same units.
+			want := &engine.Result{
+				Units:         ref.Units,
+				MeasuredInsts: ref.MeasuredInsts,
+				WarmingInsts:  ref.WarmingInsts,
+				EarlyStopped:  ref.EarlyStopped,
+			}
+			got.DetailedTime = 0
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("eps=%g: folded shard streams diverged from RunSet:\n got %+v\nwant %+v", opt.TargetEps, got, want)
+			}
+		}
+	})
 }
 
 // TestSplitRange: shard ranges tile [0, n) contiguously, are near-even,

@@ -7,6 +7,7 @@ import (
 	"math"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/smarts"
 	"repro/internal/stats"
 	"repro/internal/uarch"
@@ -149,11 +150,12 @@ type shardMsg struct {
 }
 
 // wireUnit is one replayed unit streamed back from a worker, carrying
-// the full engine measurement so the coordinator's merge reproduces the
-// local collector's accounting bit for bit (float64 fields round-trip
-// JSON exactly). Digest seals the measurement end to end: the worker
+// the full engine measurement: the coordinator converts it back to an
+// engine.RangeUnit and folds it through the same engine.Fold a local
+// run uses, so the accounting agrees bit for bit (float64 fields
+// round-trip JSON exactly). Digest seals the measurement end to end: the worker
 // computes it at replay, the coordinator recomputes it before every
-// merger offer and before replaying a journaled unit at recovery, so a
+// fold offer and before replaying a journaled unit at recovery, so a
 // corrupt frame — on the wire, in a misbehaving worker, or in the run
 // journal — is detected instead of folded into the estimate.
 type wireUnit struct {
@@ -166,6 +168,38 @@ type wireUnit struct {
 	ElapsedNs int64
 	Partial   bool
 	Digest    uint32 `json:",omitempty"`
+}
+
+// wireUnitFrom is the wire form of a replayed unit, without its digest.
+func wireUnitFrom(ru engine.RangeUnit) *wireUnit {
+	return &wireUnit{
+		Seq:       ru.Seq,
+		Index:     ru.Res.Index,
+		Cycles:    ru.Res.Cycles,
+		EnergyNJ:  ru.Res.EnergyNJ,
+		CPI:       ru.Res.CPI,
+		EPI:       ru.Res.EPI,
+		Warming:   ru.Warming,
+		ElapsedNs: int64(ru.Elapsed),
+		Partial:   ru.Partial,
+	}
+}
+
+// rangeUnit is the engine record the coordinator folds.
+func (u *wireUnit) rangeUnit() engine.RangeUnit {
+	return engine.RangeUnit{
+		Seq: u.Seq,
+		Res: engine.UnitResult{
+			Index:    u.Index,
+			Cycles:   u.Cycles,
+			EnergyNJ: u.EnergyNJ,
+			CPI:      u.CPI,
+			EPI:      u.EPI,
+		},
+		Warming: u.Warming,
+		Elapsed: time.Duration(u.ElapsedNs),
+		Partial: u.Partial,
+	}
 }
 
 // digest computes the unit's CRC-32C over every measurement field that

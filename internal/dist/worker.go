@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -82,8 +81,7 @@ type Worker struct {
 	sweepExec atomic.Uint64
 	replayed  atomic.Uint64
 
-	mu    sync.Mutex
-	progs map[progKey]*program.Program
+	progs programs
 }
 
 // NewWorker builds a worker.
@@ -96,7 +94,6 @@ func NewWorker(opt WorkerOptions) *Worker {
 		policy: retryPolicy{Attempts: opt.Retries, Base: opt.RetryBase, Max: opt.RetryMax}.withDefaults(),
 		client: faultClient(opt.Faults),
 		cache:  checkpoint.NewMemCache(),
-		progs:  make(map[progKey]*program.Program),
 	}
 	w.cache.MaxBytes = opt.MemCacheBytes
 	return w
@@ -226,28 +223,6 @@ func (w *Worker) Handler() http.Handler {
 	return mux
 }
 
-func (w *Worker) workload(name string, length uint64) (*program.Program, error) {
-	key := progKey{name, length}
-	w.mu.Lock()
-	p, ok := w.progs[key]
-	w.mu.Unlock()
-	if ok {
-		return p, nil
-	}
-	spec, err := program.ByName(name)
-	if err != nil {
-		return nil, err
-	}
-	p, err = program.Generate(spec, length)
-	if err != nil {
-		return nil, err
-	}
-	w.mu.Lock()
-	w.progs[key] = p
-	w.mu.Unlock()
-	return p, nil
-}
-
 func (w *Worker) handleShard(rw http.ResponseWriter, req *http.Request) {
 	var msg shardMsg
 	if err := json.NewDecoder(req.Body).Decode(&msg); err != nil {
@@ -255,7 +230,7 @@ func (w *Worker) handleShard(rw http.ResponseWriter, req *http.Request) {
 		return
 	}
 	ctx := req.Context()
-	prog, err := w.workload(msg.Spec.Workload, msg.Spec.Length)
+	prog, err := w.progs.get(msg.Spec.Workload, msg.Spec.Length)
 	if err != nil {
 		http.Error(rw, err.Error(), http.StatusBadRequest)
 		return
@@ -324,17 +299,7 @@ func (w *Worker) handleShard(rw http.ResponseWriter, req *http.Request) {
 			w.opt.Faults.kill()
 		}
 		w.replayed.Add(1)
-		u := &wireUnit{
-			Seq:       ru.Seq,
-			Index:     ru.Res.Index,
-			Cycles:    ru.Res.Cycles,
-			EnergyNJ:  ru.Res.EnergyNJ,
-			CPI:       ru.Res.CPI,
-			EPI:       ru.Res.EPI,
-			Warming:   ru.Warming,
-			ElapsedNs: int64(ru.Elapsed),
-			Partial:   ru.Partial,
-		}
+		u := wireUnitFrom(ru)
 		// Seal the measurement end to end: the digest travels with the
 		// unit and the coordinator recomputes it before every merge.
 		u.Digest = u.digest()
@@ -445,22 +410,10 @@ func (w *Worker) ensureSet(ctx context.Context, key checkpoint.Key, prog *progra
 	}
 }
 
-// resumeInterval resolves WorkerOptions.ResumeInterval to a keyframe
-// count (0 = journal uploads disabled).
-func (w *Worker) resumeInterval() int {
-	switch {
-	case w.opt.ResumeInterval < 0:
-		return 0
-	case w.opt.ResumeInterval == 0:
-		return engine.DefaultResumeInterval
-	}
-	return w.opt.ResumeInterval
-}
-
 // ownerSweep runs the functional sweep this worker won the fleet claim
 // for. It resumes from the coordinator's partial journal when a dead
 // previous owner left one (falling back to a cold sweep if the journal
-// does not validate), uploads its own journal every resumeInterval
+// does not validate), uploads its own journal every ResumeInterval
 // keyframes so a successor can do the same, and renews the claim lease
 // while it works.
 func (w *Worker) ownerSweep(ctx context.Context, key checkpoint.Key, prog *program.Program, cfg uarch.Config, params checkpoint.Params, leaseNs int64, onCaptured func(int) bool, onRetry retryNotify) (*checkpoint.Set, error) {
@@ -475,7 +428,7 @@ func (w *Worker) ownerSweep(ctx context.Context, key checkpoint.Key, prog *progr
 		w.logf("dist: partial journal fetch %s failed: %v; sweeping cold", hash, err)
 		rs = nil
 	}
-	interval := w.resumeInterval()
+	interval := engine.Options{ResumeInterval: w.opt.ResumeInterval}.ResumeKeyframes()
 	capture := func(rs *checkpoint.ResumeState) (*checkpoint.Set, error) {
 		set := &checkpoint.Set{K: params.K}
 		params := params

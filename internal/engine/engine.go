@@ -15,19 +15,21 @@
 // capture-then-replay form that multi-offset runs use with RunSet.
 //
 // Because every unit's detailed simulation is fully determined by its
-// checkpoint, results are bit-identical for any worker count, any
-// schedule (streamed, captured first, or store-loaded), and any
-// early-termination setting — the engine with one worker IS the serial
-// path. This is the property the SMARTS paper's ~10,000-unit samples
-// make available: units are statistically and, once checkpointed,
-// computationally independent.
+// checkpoint, and every schedule folds units through one stream-order
+// Fold, results are bit-identical for any worker count, any schedule
+// (streamed, captured first, store-loaded, or sharded across a fleet
+// with ReplayRange), and any early-termination setting. This is the
+// property the SMARTS paper's ~10,000-unit samples make available:
+// units are statistically and, once checkpointed, computationally
+// independent. The in-place loop of internal/smarts is a different
+// executor (a core carried from unit to unit); it agrees with the
+// engine only within the bounds TestEngineMatchesLoop documents.
 package engine
 
 import (
 	"context"
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"time"
 
@@ -122,9 +124,9 @@ func (o Options) workers() int {
 // intervals of units.
 const DefaultResumeInterval = 4
 
-// resumeInterval returns the effective journal cadence in keyframes (0
-// = journaling disabled).
-func (o Options) resumeInterval() int {
+// ResumeKeyframes returns the effective journal cadence of
+// ResumeInterval in keyframes (0 = journaling disabled).
+func (o Options) ResumeKeyframes() int {
 	switch {
 	case o.ResumeInterval == 0:
 		return DefaultResumeInterval
@@ -136,9 +138,14 @@ func (o Options) resumeInterval() int {
 
 // UnitResult is the measurement of one sampling unit.
 type UnitResult struct {
-	Index    uint64
-	Cycles   uint64
+	// Index is the unit's position in the population (unit number).
+	Index uint64
+	// Cycles is the number of cycles the unit's U instructions took to
+	// commit.
+	Cycles uint64
+	// EnergyNJ is the energy accumulated while the unit committed.
 	EnergyNJ float64
+	// CPI and EPI are the unit's per-instruction metrics.
 	CPI, EPI float64
 }
 
@@ -176,20 +183,6 @@ type Result struct {
 	// SweepCached reports that launch states were loaded from the
 	// checkpoint store instead of sweeping.
 	SweepCached bool
-}
-
-type unitJob struct {
-	seq  int // position in the captured sequence
-	unit *checkpoint.Unit
-}
-
-type unitDone struct {
-	seq     int
-	res     UnitResult
-	warming uint64
-	elapsed time.Duration
-	partial bool // program ended inside the unit; measurement dropped
-	err     error
 }
 
 // streamBuffer bounds how far capture may run ahead of replay dispatch.
@@ -426,7 +419,7 @@ func replayStreaming(ctx context.Context, prog *program.Program, cfg uarch.Confi
 		// units are re-added so the new journal is self-contained).
 		var pw *checkpoint.PartialWriter
 		var rs *checkpoint.ResumeState
-		if ri := opt.resumeInterval(); opt.Store != nil && ri > 0 && p.SweepParallelism <= 1 {
+		if ri := opt.ResumeKeyframes(); opt.Store != nil && ri > 0 && p.SweepParallelism <= 1 {
 			var rerr error
 			if rs, rerr = checkpoint.Resume(opt.Store, key); rerr != nil {
 				opt.Store.Log("checkpoint store: resume unavailable: %v", rerr)
@@ -490,7 +483,7 @@ func replayStreaming(ctx context.Context, prog *program.Program, cfg uarch.Confi
 		}
 		p.OnFrame = func(fr checkpoint.ResumeFrame) {
 			lastFrame, framePending = fr, true
-			if pw != nil && kfSince >= opt.resumeInterval() {
+			if pw != nil && kfSince >= opt.ResumeKeyframes() {
 				if werr := pw.Checkpoint(fr); werr != nil {
 					journalFail(werr)
 				} else {
@@ -608,37 +601,22 @@ func replayStreaming(ctx context.Context, prog *program.Program, cfg uarch.Confi
 	return res, nil
 }
 
-// collector owns the worker pool and the deterministic stream-order
-// aggregation shared by every schedule. Units are read from feed in
-// stream order (the dispatcher assigns ascending seq numbers), fan out
-// to workers, and fold back through the aggregator; quit fires once the
+// collector feeds a producer's unit stream through the replay pool into
+// a Fold. Producers send on feed in stream order (the dispatcher assigns
+// ascending seq numbers) and watch pool.quit, which fires once the
 // outcome can no longer change (early termination, error, or context
 // cancellation).
 type collector struct {
+	*pool
 	feed chan *checkpoint.Unit
-	quit chan struct{}
-
-	ctx  context.Context
-	prog *program.Program
-	cfg  uarch.Config
-	u    uint64
-	nw   int
 	opt  Options
 	hint int
 }
 
 func newCollector(ctx context.Context, prog *program.Program, cfg uarch.Config, u uint64, nw int, opt Options, hint int) *collector {
-	if nw < 1 {
-		nw = 1
-	}
 	return &collector{
+		pool: newPool(ctx, prog, cfg, u, nw),
 		feed: make(chan *checkpoint.Unit, streamBuffer),
-		quit: make(chan struct{}),
-		ctx:  ctx,
-		prog: prog,
-		cfg:  cfg,
-		u:    u,
-		nw:   nw,
 		opt:  opt,
 		hint: hint,
 	}
@@ -647,129 +625,133 @@ func newCollector(ctx context.Context, prog *program.Program, cfg uarch.Config, 
 // collect runs the pool until the unit stream ends (or the run is cut
 // short) and fills the measurement half of res.
 func (c *collector) collect(res *Result) error {
-	alpha := c.opt.Alpha
-	if alpha == 0 {
-		alpha = stats.Alpha997
-	}
-	agg := stats.NewStreamAggregator(alpha, c.opt.TargetEps, c.opt.MinUnits)
-
-	jobs := make(chan unitJob)
-	done := make(chan unitDone, c.nw)
-	var quitOnce sync.Once
-	signalQuit := func() { quitOnce.Do(func() { close(c.quit) }) }
-
-	// Context cancellation fires the same quit signal early termination
-	// uses: dispatch stops, in-flight units finish, the pipeline drains.
-	// The watcher is released at collect exit so it never outlives the
-	// run (no goroutine leak on the uncancelled path).
-	watchDone := make(chan struct{})
-	defer close(watchDone)
-	go func() {
-		select {
-		case <-c.ctx.Done():
-			signalQuit()
-		case <-watchDone:
-		}
-	}()
-
-	var wg sync.WaitGroup
-	for i := 0; i < c.nw; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			worker(c.prog, c.cfg, c.u, jobs, done)
-		}()
-	}
-
-	// Dispatch in stream order; stop once the aggregator's in-order
-	// prefix meets the confidence target (or on error / program end).
-	go func() {
-		defer close(jobs)
+	fold := NewFold(c.u, c.opt, c.hint)
+	err := c.run(func(send func(int, *checkpoint.Unit) bool) {
 		seq := 0
 		for cu := range c.feed {
-			select {
-			case jobs <- unitJob{seq: seq, unit: cu}:
-				seq++
-			case <-c.quit:
+			if !send(seq, cu) {
 				// Keep draining feed so a blocked producer can always
 				// make progress to its own quit check.
 				for range c.feed {
 				}
 				return
 			}
+			seq++
 		}
+	}, func(ru RangeUnit) {
+		if fold.Offer(ru) {
+			c.stop()
+		}
+	})
+	if err != nil {
+		return err
+	}
+	// A cancelled context trumps whatever partial measurement drained
+	// out — unless early termination had already fixed the outcome, in
+	// which case the result is complete and the cancel merely raced it.
+	if err := c.ctx.Err(); err != nil && !fold.EarlyStopped() {
+		return err
+	}
+	fold.Finish(res)
+	return nil
+}
+
+// pool is the replay worker pool every schedule shares: a dispatcher
+// hands units to nw workers, and their completions return to the
+// goroutine that called run. stop (idempotent) closes quit and ends
+// dispatch; in-flight units still finish and drain. Cancelling ctx
+// fires the same stop.
+type pool struct {
+	ctx  context.Context
+	prog *program.Program
+	cfg  uarch.Config
+	u    uint64
+	nw   int
+
+	quit     chan struct{}
+	quitOnce sync.Once
+}
+
+func newPool(ctx context.Context, prog *program.Program, cfg uarch.Config, u uint64, nw int) *pool {
+	if nw < 1 {
+		nw = 1
+	}
+	return &pool{ctx: ctx, prog: prog, cfg: cfg, u: u, nw: nw, quit: make(chan struct{})}
+}
+
+func (p *pool) stop() { p.quitOnce.Do(func() { close(p.quit) }) }
+
+// run replays the units dispatch sends and passes each completion to
+// handle, on the calling goroutine, until every worker has exited.
+// dispatch runs on its own goroutine; send returns false once the pool
+// has stopped, and dispatch should then return. The first replay error
+// stops the pool and is returned; completions after it drain unhandled.
+func (p *pool) run(dispatch func(send func(seq int, cu *checkpoint.Unit) bool), handle func(RangeUnit)) error {
+	type unitJob struct {
+		seq  int // position in the captured sequence
+		unit *checkpoint.Unit
+	}
+	type unitDone struct {
+		ru  RangeUnit
+		err error
+	}
+	jobs := make(chan unitJob)
+	done := make(chan unitDone, p.nw)
+
+	// The watcher is released at run exit so it never outlives the run
+	// (no goroutine leak on the uncancelled path).
+	watchDone := make(chan struct{})
+	defer close(watchDone)
+	go func() {
+		select {
+		case <-p.ctx.Done():
+			p.stop()
+		case <-watchDone:
+		}
+	}()
+
+	var wg sync.WaitGroup
+	for i := 0; i < p.nw; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for job := range jobs {
+				ru, err := replay(p.prog, p.cfg, job.unit, p.u)
+				ru.Seq = job.seq
+				done <- unitDone{ru, err}
+			}
+		}()
+	}
+	go func() {
+		defer close(jobs)
+		dispatch(func(seq int, cu *checkpoint.Unit) bool {
+			select {
+			case jobs <- unitJob{seq, cu}:
+				return true
+			case <-p.quit:
+				return false
+			}
+		})
 	}()
 	go func() {
 		wg.Wait()
 		close(done)
 	}()
 
-	collected := make([]unitDone, 0, c.hint)
 	var firstErr error
-	var folded uint64            // in-order units reported through OnReplayed
-	stopAt := int(^uint(0) >> 1) // in-order cutoff: units with seq >= stopAt are dropped
 	for d := range done {
 		switch {
 		case d.err != nil:
 			if firstErr == nil {
 				firstErr = d.err
 			}
-			signalQuit()
-		case d.partial:
-			// The program ended inside this unit: keep everything before
-			// it, drop it and everything after (matches the serial path).
-			if d.seq < stopAt {
-				stopAt = d.seq
-			}
-		default:
-			collected = append(collected, d)
-			hitTarget := agg.Offer(uint64(d.seq), stats.Obs{CPI: d.res.CPI, EPI: d.res.EPI})
-			if c.opt.OnReplayed != nil {
-				if m := agg.Merged(); m > folded {
-					folded = m
-					c.opt.OnReplayed(int(m), agg.CPIEstimate())
-				}
-			}
-			if hitTarget {
-				if cut := int(agg.DoneAt()); cut < stopAt {
-					stopAt = cut
-					res.EarlyStopped = true
-					signalQuit()
-				}
-			}
+			p.stop()
+		case firstErr == nil:
+			handle(d.ru)
 		}
 	}
-	signalQuit() // release the producer if the stream ended naturally
-	if firstErr != nil {
-		return firstErr
-	}
-	// A cancelled context trumps whatever partial measurement drained
-	// out — unless early termination had already fixed the outcome, in
-	// which case the result is complete and the cancel merely raced it.
-	if err := c.ctx.Err(); err != nil && !res.EarlyStopped {
-		return err
-	}
-
-	sort.Slice(collected, func(i, j int) bool { return collected[i].seq < collected[j].seq })
-	for _, d := range collected {
-		if d.seq >= stopAt {
-			continue
-		}
-		res.Units = append(res.Units, d.res)
-		res.MeasuredInsts += c.u
-		res.WarmingInsts += d.warming
-		res.DetailedTime += d.elapsed
-	}
-	return nil
-}
-
-// worker replays units from its job channel.
-func worker(prog *program.Program, cfg uarch.Config, u uint64, jobs <-chan unitJob, done chan<- unitDone) {
-	for job := range jobs {
-		d := replay(prog, cfg, job.unit, u)
-		d.seq = job.seq
-		done <- d
-	}
+	p.stop() // release the producer if the stream ended naturally
+	return firstErr
 }
 
 // replay runs one unit's detailed warming + measurement from its
@@ -777,7 +759,7 @@ func worker(prog *program.Program, cfg uarch.Config, u uint64, jobs <-chan unitJ
 // measurement must be a pure function of its checkpoint, and reusing a
 // core would thread worker-local accumulation (notably the energy
 // meter's floating-point total) into the per-unit readings.
-func replay(prog *program.Program, cfg uarch.Config, cu *checkpoint.Unit, u uint64) unitDone {
+func replay(prog *program.Program, cfg uarch.Config, cu *checkpoint.Unit, u uint64) (RangeUnit, error) {
 	machine := uarch.NewMachine(cfg)
 	// Delta-encoded snapshots are materialized here, on the worker, so
 	// the capture sweep's critical path copies only dirty blocks and
@@ -786,14 +768,14 @@ func replay(prog *program.Program, cfg uarch.Config, cu *checkpoint.Unit, u uint
 	// and therefore safe at any worker count.
 	launch, err := cu.Materialize()
 	if err != nil {
-		return unitDone{err: fmt.Errorf("engine: unit %d: %w", cu.Index, err)}
+		return RangeUnit{}, fmt.Errorf("engine: unit %d: %w", cu.Index, err)
 	}
 	if launch.Warm != nil {
 		if err := machine.Hier.Restore(launch.Warm.Hier); err != nil {
-			return unitDone{err: fmt.Errorf("engine: unit %d: %w", cu.Index, err)}
+			return RangeUnit{}, fmt.Errorf("engine: unit %d: %w", cu.Index, err)
 		}
 		if err := machine.Pred.Restore(launch.Warm.Pred); err != nil {
-			return unitDone{err: fmt.Errorf("engine: unit %d: %w", cu.Index, err)}
+			return RangeUnit{}, fmt.Errorf("engine: unit %d: %w", cu.Index, err)
 		}
 	}
 	cpu := functional.NewAt(prog, cu.Arch, launch.Mem.NewMemory())
@@ -805,23 +787,23 @@ func replay(prog *program.Program, cfg uarch.Config, cu *checkpoint.Unit, u uint
 	marks := []uarch.Mark{{At: w}, {At: w + u}}
 	runStats, err := core.Run(src, w+u, marks)
 	if err != nil {
-		return unitDone{err: fmt.Errorf("engine: detailed run at unit %d: %w", cu.Index, err)}
+		return RangeUnit{}, fmt.Errorf("engine: detailed run at unit %d: %w", cu.Index, err)
 	}
 	elapsed := wallclock.Since(start)
 	if runStats.Insts < w+u {
-		return unitDone{partial: true, elapsed: elapsed}
+		return RangeUnit{Partial: true, Elapsed: elapsed}, nil
 	}
 	cycles := marks[1].Cycle - marks[0].Cycle
 	energy := marks[1].EnergyNJ - marks[0].EnergyNJ
-	return unitDone{
-		res: UnitResult{
+	return RangeUnit{
+		Res: UnitResult{
 			Index:    cu.Index,
 			Cycles:   cycles,
 			EnergyNJ: energy,
 			CPI:      float64(cycles) / float64(u),
 			EPI:      energy / float64(u),
 		},
-		warming: w,
-		elapsed: elapsed,
-	}
+		Warming: w,
+		Elapsed: elapsed,
+	}, nil
 }

@@ -89,14 +89,14 @@ func TestEstimateBitIdentical(t *testing.T) {
 	for _, bench := range []string{"gzipx", "ammpx"} {
 		p := genProg(t, bench, 400_000)
 		plan := smarts.PlanForN(p.Length, 1000, 1000, 50, smarts.FunctionalWarming, 0)
-		serial, err := smarts.Run(bg, p, cfg, plan, smarts.EngineOptions{Workers: 1})
+		serial, err := smarts.Run(bg, p, cfg, plan, smarts.EngineOptions{Options: engine.Options{Workers: 1}})
 		if err != nil {
 			t.Fatal(err)
 		}
 		sCPI := serial.CPIEstimate(stats.Alpha997)
 		sEPI := serial.EPIEstimate(stats.Alpha997)
 		for _, workers := range []int{4, 3} {
-			par, err := smarts.Run(bg, p, cfg, plan, smarts.EngineOptions{Workers: workers})
+			par, err := smarts.Run(bg, p, cfg, plan, smarts.EngineOptions{Options: engine.Options{Workers: workers}})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -3,7 +3,6 @@ package engine
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/checkpoint"
@@ -11,8 +10,8 @@ import (
 	"repro/internal/uarch"
 )
 
-// RangeUnit is one replayed unit of a shard-range replay, delivered in
-// stream order.
+// RangeUnit is one replayed unit keyed by its stream position: what
+// ReplayRange emits and what a Fold consumes.
 type RangeUnit struct {
 	// Seq is the unit's position in the captured stream (the global
 	// stream index shard merges are keyed by).
@@ -24,9 +23,9 @@ type RangeUnit struct {
 	Warming uint64
 	// Elapsed is the unit's detailed-replay CPU time.
 	Elapsed time.Duration
-	// Partial reports the program ended inside the unit; the serial
-	// semantics drop it and everything after it, which the consumer
-	// enforces (trailing units of the range may still be emitted).
+	// Partial reports the program ended inside the unit; a Fold drops
+	// it and everything after it (trailing units of a range may still
+	// be emitted).
 	Partial bool
 }
 
@@ -35,8 +34,8 @@ type RangeUnit struct {
 // unit in ascending Seq order. It is the distributed service's worker
 // entry point: a shard replays only its contiguous range, streams each
 // result the moment its stream-order predecessor has been emitted, and
-// the coordinator merges shards by Seq into the same deterministic
-// aggregation a single-machine run performs.
+// the coordinator folds shards by Seq through the same Fold a
+// single-machine run uses.
 //
 // The range is clamped to the set (callers size shards from
 // Params.ExpectedUnits, which can exceed the captured count when the
@@ -73,86 +72,36 @@ func ReplayRange(ctx context.Context, prog *program.Program, cfg uarch.Config, u
 		nw = hi - lo
 	}
 
-	jobs := make(chan unitJob)
-	done := make(chan unitDone, nw)
-	quit := make(chan struct{})
-	var quitOnce sync.Once
-	signalQuit := func() { quitOnce.Do(func() { close(quit) }) }
-
-	watchDone := make(chan struct{})
-	defer close(watchDone)
-	go func() {
-		select {
-		case <-ctx.Done():
-			signalQuit()
-		case <-watchDone:
-		}
-	}()
-
-	var wg sync.WaitGroup
-	for i := 0; i < nw; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			worker(prog, cfg, u, jobs, done)
-		}()
-	}
-	go func() {
-		defer close(jobs)
-		for seq := lo; seq < hi; seq++ {
-			select {
-			case jobs <- unitJob{seq: seq, unit: set.Units[seq]}:
-			case <-quit:
-				return
-			}
-		}
-	}()
-	go func() {
-		wg.Wait()
-		close(done)
-	}()
-
 	// Reorder completions into ascending Seq before emitting, so the
 	// consumer observes the deterministic stream order regardless of
 	// worker scheduling.
-	pending := make(map[int]unitDone, nw)
+	p := newPool(ctx, prog, cfg, u, nw)
+	pending := make(map[int]RangeUnit, nw)
 	next := lo
-	var firstErr error
-	for d := range done {
-		if d.err != nil {
-			if firstErr == nil {
-				firstErr = d.err
-			}
-			signalQuit()
-			continue
+	stopped := false
+	err := p.run(func(send func(int, *checkpoint.Unit) bool) {
+		for seq := lo; seq < hi && send(seq, set.Units[seq]); seq++ {
 		}
-		pending[d.seq] = d
-		for {
+	}, func(ru RangeUnit) {
+		pending[ru.Seq] = ru
+		for !stopped {
 			nd, ok := pending[next]
-			if !ok {
-				break
+			if !ok || ctx.Err() != nil {
+				break // a cancelled replay returns ctx.Err(); emit no more
 			}
 			delete(pending, next)
 			next++
-			if firstErr != nil {
-				continue
-			}
-			if !emit(RangeUnit{Seq: nd.seq, Res: nd.res, Warming: nd.warming, Elapsed: nd.elapsed, Partial: nd.partial}) {
-				signalQuit()
-				firstErr = errStopped
+			if !emit(nd) {
+				stopped = true
+				p.stop()
 			}
 		}
-	}
-	signalQuit()
-	if firstErr == errStopped {
+	})
+	switch {
+	case stopped:
 		return nil
-	}
-	if firstErr != nil {
-		return firstErr
+	case err != nil:
+		return err
 	}
 	return ctx.Err()
 }
-
-// errStopped marks an emit-requested stop internally; ReplayRange
-// translates it to a nil return.
-var errStopped = fmt.Errorf("engine: replay stopped by consumer")

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/checkpoint"
+	"repro/internal/engine"
 	"repro/internal/experiments"
 	"repro/internal/smarts"
 	"repro/internal/uarch"
@@ -54,7 +55,7 @@ func TestMeasureBiasEngineMatchesPerPhase(t *testing.T) {
 	for ph := 0; ph < phases; ph++ {
 		plan := base
 		plan.J = uint64(ph) * base.K / uint64(phases)
-		res, err := smarts.Run(context.Background(), p, cfg, plan, smarts.EngineOptions{Workers: 2})
+		res, err := smarts.Run(context.Background(), p, cfg, plan, smarts.EngineOptions{Options: engine.Options{Workers: 2}})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -23,6 +23,7 @@ import (
 	"sync"
 
 	"repro/internal/checkpoint"
+	"repro/internal/engine"
 	"repro/internal/program"
 	"repro/internal/smarts"
 	"repro/internal/uarch"
@@ -125,7 +126,7 @@ type Context struct {
 	Ckpt *checkpoint.Store
 
 	// SweepParallelism and SweepOverlap configure the speculative
-	// parallel sweep (see smarts.EngineOptions): the bias-vs-stride
+	// parallel sweep (see engine.Options): the bias-vs-stride
 	// experiment varies them to measure its cold-start bias. Like
 	// Parallelism, they are plain fields set before runs, not
 	// concurrency-safe knobs.
@@ -140,12 +141,12 @@ type Context struct {
 // engineOptions is the engine configuration every sampling run of the
 // context shares.
 func (c *Context) engineOptions() smarts.EngineOptions {
-	return smarts.EngineOptions{
+	return smarts.EngineOptions{Options: engine.Options{
 		Workers:          c.Parallelism,
 		Store:            c.Ckpt,
 		SweepParallelism: c.SweepParallelism,
 		SweepOverlap:     c.SweepOverlap,
-	}
+	}}
 }
 
 // NewContext builds an empty cache for the scale.

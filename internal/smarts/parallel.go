@@ -13,71 +13,11 @@ import (
 // EngineOptions configures the checkpointed parallel engine that runs
 // functional-warming plans (see Run). The in-place loop ignores it.
 type EngineOptions struct {
-	// Workers is the worker-pool size; values <= 0 select GOMAXPROCS.
-	Workers int
-	// Alpha is the confidence parameter for early termination (zero
-	// selects stats.Alpha997).
-	Alpha float64
-	// TargetEps, when positive, stops measuring units once the CPI
-	// estimate's relative confidence interval is within ±TargetEps. The
-	// cutoff is decided on stream-order prefixes, so enabling it keeps
-	// results deterministic across worker counts.
-	TargetEps float64
-	// MinUnits is the minimum measured-unit count before early
-	// termination may trigger.
-	MinUnits uint64
-	// Store, when non-nil, persists and reuses capture sweeps on disk
-	// (see checkpoint.Store).
-	Store *checkpoint.Store
-	// Cache, when non-nil, reuses capture sweeps in memory (checked
-	// after the store); the sim session attaches one to storeless
-	// sessions.
-	Cache *checkpoint.MemCache
-	// Keyframe overrides the delta-encoded capture's full-snapshot
-	// interval when positive (see checkpoint.Params.Keyframe). Encoding
-	// only — materialized launch states, and therefore results, are
-	// unchanged.
-	Keyframe int
-	// SweepParallelism, when above 1, runs the capture sweep as that
-	// many concurrent stream segments (the speculative parallel sweep;
-	// see checkpoint.Params.SweepParallelism). Architectural state stays
-	// exact; warm state in segments after the first starts cold plus
-	// SweepOverlap warm-up instructions, a measured bias.
-	SweepParallelism int
-	// SweepOverlap is the per-segment warm-up length of a parallel
-	// sweep (0 = checkpoint.DefaultSweepOverlap, negative = none).
-	SweepOverlap int64
-	// ResumeInterval sets the crash-safe sweep journal cadence in
-	// keyframes (see engine.Options.ResumeInterval): 0 = default,
-	// negative disables partial-sweep journaling and resume.
-	ResumeInterval int
-	// OnCaptured and OnReplayed observe pipeline progress; see
-	// engine.Options. The sim package uses them to emit typed progress
-	// events.
-	OnCaptured func(captured int)
-	OnReplayed func(replayed int, est stats.Estimate)
+	engine.Options
 	// OnPhaseReplayed, when non-nil, observes multi-offset replay
 	// progress with the phase offset attached; RunPhases then
 	// invokes it instead of OnReplayed for each offset's replay.
 	OnPhaseReplayed func(j uint64, replayed int, est stats.Estimate)
-}
-
-// engineOptions translates EngineOptions to the engine's option struct.
-func (opt EngineOptions) engineOptions() engine.Options {
-	return engine.Options{
-		Workers:          opt.Workers,
-		Alpha:            opt.Alpha,
-		TargetEps:        opt.TargetEps,
-		MinUnits:         opt.MinUnits,
-		Store:            opt.Store,
-		Cache:            opt.Cache,
-		Keyframe:         opt.Keyframe,
-		SweepParallelism: opt.SweepParallelism,
-		SweepOverlap:     opt.SweepOverlap,
-		ResumeInterval:   opt.ResumeInterval,
-		OnCaptured:       opt.OnCaptured,
-		OnReplayed:       opt.OnReplayed,
-	}
 }
 
 // CheckpointParams translates the plan into checkpoint capture
@@ -144,25 +84,18 @@ func RunPhases(ctx context.Context, prog *program.Program, cfg uarch.Config, pla
 	params := plan.params()
 	params.J = 0
 	params.Offsets = js
-	set, cached, err := engine.LoadOrCapture(ctx, prog, cfg, params, opt.engineOptions())
+	set, cached, err := engine.LoadOrCapture(ctx, prog, cfg, params, opt.Options)
 	if err != nil {
 		return nil, err
 	}
 	for i, j := range js {
-		onReplayed := opt.OnReplayed
+		eo := opt.Options
 		if opt.OnPhaseReplayed != nil {
-			j := j
-			onReplayed = func(replayed int, est stats.Estimate) {
+			eo.OnReplayed = func(replayed int, est stats.Estimate) {
 				opt.OnPhaseReplayed(j, replayed, est)
 			}
 		}
-		er, err := engine.RunSet(ctx, prog, cfg, plan.U, set.Offset(j), engine.Options{
-			Workers:    opt.Workers,
-			Alpha:      opt.Alpha,
-			TargetEps:  opt.TargetEps,
-			MinUnits:   opt.MinUnits,
-			OnReplayed: onReplayed,
-		})
+		er, err := engine.RunSet(ctx, prog, cfg, plan.U, set.Offset(j), eo)
 		if err != nil {
 			return nil, err
 		}
@@ -185,7 +118,7 @@ func RunPhases(ctx context.Context, prog *program.Program, cfg uarch.Config, pla
 func engineResult(plan Plan, er *engine.Result, sweepInRun bool) *Result {
 	// Wall-clock accounting: FastFwdTime is the capture sweep and
 	// DetailedTime the remaining elapsed time, so the two sum to the
-	// run's elapsed time just as on the serial path. (The engine's
+	// run's elapsed time as they do on the in-place loop. (The engine's
 	// per-worker CPU total, er.DetailedTime, would overstate elapsed
 	// time by up to the worker count; under the streaming schedule the
 	// sweep overlaps replay, so the split is attribution, not a
@@ -197,7 +130,7 @@ func engineResult(plan Plan, er *engine.Result, sweepInRun bool) *Result {
 			detailedWall = 0
 		}
 	}
-	res := &Result{
+	return &Result{
 		Plan:                plan,
 		PopulationUnits:     er.PopulationUnits,
 		MeasuredInsts:       er.MeasuredInsts,
@@ -207,16 +140,6 @@ func engineResult(plan Plan, er *engine.Result, sweepInRun bool) *Result {
 		DetailedTime:        detailedWall,
 		SweepCached:         er.SweepCached,
 		FastFwdResumedInsts: er.SweepResumedInsts,
-		Units:               make([]UnitResult, len(er.Units)),
+		Units:               er.Units,
 	}
-	for i, u := range er.Units {
-		res.Units[i] = UnitResult{
-			Index:    u.Index,
-			Cycles:   u.Cycles,
-			EnergyNJ: u.EnergyNJ,
-			CPI:      u.CPI,
-			EPI:      u.EPI,
-		}
-	}
-	return res
 }

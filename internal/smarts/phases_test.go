@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/checkpoint"
+	"repro/internal/engine"
 	"repro/internal/smarts"
 	"repro/internal/stats"
 	"repro/internal/uarch"
@@ -20,7 +21,7 @@ func TestRunSampledPhasesBitIdentical(t *testing.T) {
 	plan := smarts.PlanForN(p.Length, 1000, 1000, 50, smarts.FunctionalWarming, 0)
 	js := []uint64{0, 1, 3}
 
-	runs, err := smarts.RunPhases(context.Background(), p, cfg, plan, js, smarts.EngineOptions{Workers: 3})
+	runs, err := smarts.RunPhases(context.Background(), p, cfg, plan, js, smarts.EngineOptions{Options: engine.Options{Workers: 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +31,7 @@ func TestRunSampledPhasesBitIdentical(t *testing.T) {
 	for i, j := range js {
 		single := plan
 		single.J = j
-		want, err := smarts.Run(context.Background(), p, cfg, single, smarts.EngineOptions{Workers: 2})
+		want, err := smarts.Run(context.Background(), p, cfg, single, smarts.EngineOptions{Options: engine.Options{Workers: 2}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -66,7 +67,7 @@ func TestRunSampledPhasesStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := smarts.EngineOptions{Workers: 2, Store: store}
+	opt := smarts.EngineOptions{Options: engine.Options{Workers: 2, Store: store}}
 
 	first, err := smarts.RunPhases(context.Background(), p, cfg, plan, js, opt)
 	if err != nil {
@@ -103,7 +104,7 @@ func TestPlanStoreThroughRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	plan := smarts.PlanForN(p.Length, 1000, 1000, 40, smarts.FunctionalWarming, 0)
-	opt := smarts.EngineOptions{Workers: 2, Store: store}
+	opt := smarts.EngineOptions{Options: engine.Options{Workers: 2, Store: store}}
 
 	first, err := smarts.Run(context.Background(), p, cfg, plan, opt)
 	if err != nil {

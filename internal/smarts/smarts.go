@@ -144,17 +144,7 @@ func PlanForN(benchLength, u, w, n uint64, mode WarmingMode, j uint64) Plan {
 }
 
 // UnitResult is the measurement of one sampling unit.
-type UnitResult struct {
-	// Index is the unit's position in the population (unit number).
-	Index uint64
-	// Cycles is the number of cycles the unit's U instructions took to
-	// commit.
-	Cycles uint64
-	// EnergyNJ is the energy accumulated while the unit committed.
-	EnergyNJ float64
-	// CPI and EPI are the unit's per-instruction metrics.
-	CPI, EPI float64
-}
+type UnitResult = engine.UnitResult
 
 // Result collects a full sampling run.
 type Result struct {
@@ -233,7 +223,7 @@ func Run(ctx context.Context, prog *program.Program, cfg uarch.Config, plan Plan
 	if !plan.Checkpointed() {
 		return runLoop(ctx, prog, cfg, plan)
 	}
-	er, err := engine.Run(ctx, prog, cfg, plan.params(), opt.engineOptions())
+	er, err := engine.Run(ctx, prog, cfg, plan.params(), opt.Options)
 	if err != nil {
 		return nil, err
 	}

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/checkpoint"
+	"repro/internal/engine"
 	"repro/internal/experiments"
 	"repro/internal/program"
 	"repro/internal/smarts"
@@ -571,19 +572,9 @@ func planTotals(plan Plan, prog *program.Program) (pop uint64, total int) {
 	return pop, plan.CheckpointParams().ExpectedUnits(pop)
 }
 
-// etaFrom extrapolates the remaining time of a stage from its observed
-// rate: done of total steps since start.
-func etaFrom(start time.Time, done, total int) time.Duration {
-	if done <= 0 || total <= 0 || done >= total {
-		return 0
-	}
-	elapsed := wallclock.Since(start)
-	return time.Duration(float64(elapsed) / float64(done) * float64(total-done))
-}
-
 // engineOptions builds the engine options for one plan execution.
 func (s *Session) engineOptions(req *Request, sink *progressSink, stage string, offset uint64, plan Plan, prog *program.Program) smarts.EngineOptions {
-	opt := smarts.EngineOptions{
+	opt := smarts.EngineOptions{Options: engine.Options{
 		Workers: s.workers(req),
 		// The effective alpha (request, else session) drives both the
 		// early-termination decision and the reported estimates, so
@@ -595,7 +586,7 @@ func (s *Session) engineOptions(req *Request, sink *progressSink, stage string, 
 		SweepParallelism: s.set.sweepPar,
 		SweepOverlap:     s.set.sweepOver,
 		ResumeInterval:   s.set.resumeInt,
-	}
+	}}
 	if !req.NoStore {
 		opt.Store = s.store
 		opt.Cache = s.sweeps
@@ -605,7 +596,7 @@ func (s *Session) engineOptions(req *Request, sink *progressSink, stage string, 
 		start := wallclock.Now()
 		opt.OnCaptured = func(captured int) {
 			sink.emit(Progress{Kind: EventUnitCaptured, Stage: stage, Offset: offset, Captured: captured,
-				Population: pop, Total: total, ETA: etaFrom(start, captured, total)})
+				Population: pop, Total: total, ETA: wallclock.ETA(start, captured, total)})
 		}
 		// The collector folds units from one goroutine, so the lazily
 		// set replay clock needs no synchronization; replay overlaps the
@@ -617,7 +608,7 @@ func (s *Session) engineOptions(req *Request, sink *progressSink, stage string, 
 				replayStart = wallclock.Now()
 			}
 			sink.emit(Progress{Kind: EventUnitReplayed, Stage: stage, Offset: offset, Replayed: replayed, Estimate: est,
-				Population: pop, Total: total, ETA: etaFrom(replayStart, replayed, total)})
+				Population: pop, Total: total, ETA: wallclock.ETA(replayStart, replayed, total)})
 		}
 	}
 	return opt
@@ -637,7 +628,7 @@ func (s *Session) runPlan(ctx context.Context, req *Request, prog *program.Progr
 	var err error
 	if dedupSweeps(req, plan, opt) {
 		key := checkpoint.KeyFor(prog, cfg, plan.CheckpointParams())
-		res, err = s.singleflight(ctx, key, run)
+		res, err = singleflightDo(ctx, s, key, run)
 	} else {
 		res, err = run()
 	}
@@ -703,7 +694,7 @@ func (s *Session) runPhases(ctx context.Context, req *Request, prog *program.Pro
 		start := wallclock.Now()
 		opt.OnCaptured = func(captured int) {
 			sink.emit(Progress{Kind: EventUnitCaptured, Stage: "sample", Captured: captured,
-				Population: pop, Total: sweepTotal, ETA: etaFrom(start, captured, sweepTotal)})
+				Population: pop, Total: sweepTotal, ETA: wallclock.ETA(start, captured, sweepTotal)})
 		}
 		// Replay events of a multi-offset run carry their offset, so a
 		// consumer can attribute the per-offset unit counters.
@@ -716,7 +707,7 @@ func (s *Session) runPhases(ctx context.Context, req *Request, prog *program.Pro
 			}
 			replayedAll++
 			sink.emit(Progress{Kind: EventUnitReplayed, Stage: "sample", Offset: j, Replayed: replayed, Estimate: est,
-				Population: pop, Total: perOffset[j], ETA: etaFrom(replayStart, replayedAll, sweepTotal)})
+				Population: pop, Total: perOffset[j], ETA: wallclock.ETA(replayStart, replayedAll, sweepTotal)})
 		}
 	}
 	run := func() ([]*Result, error) {
@@ -861,18 +852,6 @@ func (s *Session) expContext(scale string, req *Request) (*experiments.Context, 
 	return ec, nil
 }
 
-// singleflight deduplicates concurrent sweep generation for one store
-// key: the first request becomes the leader and runs fn (sweeping and
-// committing the entry — to the on-disk store, or to the in-memory
-// sweep cache on storeless sessions); concurrent requests for the same
-// key wait for the leader, then run fn themselves against the
-// now-committed entry (a hit — no second sweep). If the leader failed
-// or was cancelled before committing, each waiter retries leadership in
-// turn, so one bad run never poisons the key.
-func (s *Session) singleflight(ctx context.Context, key checkpoint.Key, fn func() (*Result, error)) (*Result, error) {
-	return singleflightDo(ctx, s, key, fn)
-}
-
 // sweepAvailable reports whether a committed sweep for key is reusable
 // — from the on-disk store or the in-memory cache, whichever the
 // session runs with.
@@ -886,8 +865,15 @@ func (s *Session) sweepAvailable(key checkpoint.Key) bool {
 	return false
 }
 
-// singleflightDo is the generic form of Session.singleflight (the
-// result may be a single run or a per-offset slice).
+// singleflightDo deduplicates concurrent sweep generation for one store
+// key: the first request becomes the leader and runs fn (sweeping and
+// committing the entry — to the on-disk store, or to the in-memory
+// sweep cache on storeless sessions); concurrent requests for the same
+// key wait for the leader, then run fn themselves against the
+// now-committed entry (a hit — no second sweep). If the leader failed
+// or was cancelled before committing, each waiter retries leadership in
+// turn, so one bad run never poisons the key. The result may be a
+// single run or a per-offset slice.
 func singleflightDo[T any](ctx context.Context, s *Session, key checkpoint.Key, fn func() (T, error)) (T, error) {
 	hash := key.Hash()
 	for {

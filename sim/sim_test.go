@@ -55,7 +55,7 @@ func TestPlainBitIdentical(t *testing.T) {
 	p := testProg(t)
 	cfg := uarch.Config8Way()
 	plan := smarts.PlanForN(p.Length, 1000, smarts.RecommendedW(cfg), 80, smarts.FunctionalWarming, 0)
-	want, err := smarts.Run(context.Background(), p, cfg, plan, smarts.EngineOptions{Workers: 1})
+	want, err := smarts.Run(context.Background(), p, cfg, plan, smarts.EngineOptions{Options: engine.Options{Workers: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestPhasesBitIdentical(t *testing.T) {
 	cfg := uarch.Config8Way()
 	plan := smarts.PlanForN(p.Length, 1000, smarts.RecommendedW(cfg), 60, smarts.FunctionalWarming, 0)
 	js := []uint64{0, 2, 4}
-	want, err := smarts.RunPhases(context.Background(), p, cfg, plan, js, smarts.EngineOptions{Workers: 2})
+	want, err := smarts.RunPhases(context.Background(), p, cfg, plan, js, smarts.EngineOptions{Options: engine.Options{Workers: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestStoreBitIdentical(t *testing.T) {
 	p := testProg(t)
 	cfg := uarch.Config8Way()
 	plan := smarts.PlanForN(p.Length, 1000, smarts.RecommendedW(cfg), 80, smarts.FunctionalWarming, 0)
-	want, err := smarts.Run(context.Background(), p, cfg, plan, smarts.EngineOptions{Workers: 2})
+	want, err := smarts.Run(context.Background(), p, cfg, plan, smarts.EngineOptions{Options: engine.Options{Workers: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
