@@ -337,7 +337,7 @@ func BenchmarkEnginePipelined(b *testing.B) {
 			b.Fatal(err)
 		}
 		o := opt()
-		o.Store = store
+		o.Cache = checkpoint.DiskCache(store)
 		start = time.Now()
 		cold, err := smarts.Run(bg, p, cfg, sparse, o)
 		if err != nil {
@@ -424,7 +424,7 @@ func BenchmarkDistributedLoopback(b *testing.B) {
 			sim.Phase(plan.J), sim.Warming(sim.FunctionalWarming))
 	}
 
-	cache := checkpoint.NewMemCache()
+	cache := checkpoint.NewSweepCache(0, nil)
 	local := func() (*smarts.Result, time.Duration) {
 		start := time.Now()
 		res, err := smarts.Run(context.Background(), p, cfg, plan, smarts.EngineOptions{Options: engine.Options{Workers: 4, Cache: cache}})

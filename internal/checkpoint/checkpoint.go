@@ -529,6 +529,14 @@ func (s *Set) MemBytes() int {
 	return total
 }
 
+// Clone returns a shallow copy of s: a fresh Units slice over the same
+// (read-only) units, so a consumer may nil its entries as it goes.
+func (s *Set) Clone() *Set {
+	c := *s
+	c.Units = append([]*Unit(nil), s.Units...)
+	return &c
+}
+
 // Offset returns the sub-set holding only phase offset j's units (in
 // stream order, sharing the snapshots). The sweep accounting is carried
 // over unchanged: the sweep was paid once for all offsets.

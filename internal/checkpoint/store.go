@@ -222,8 +222,8 @@ func (s *Store) path(k Key) string {
 
 // Contains reports whether a committed entry file exists for k. It does
 // not validate the entry (Load still treats corruption as a miss); the
-// sim session's sweep deduplication uses it to decide whether a just-
-// finished concurrent sweep left a reusable entry behind.
+// disk tier of SweepCache.Contains and SweepCache.Put's save-if-absent
+// rest on it.
 func (s *Store) Contains(k Key) bool {
 	_, err := os.Stat(s.path(k))
 	return err == nil

@@ -111,76 +111,3 @@ func TestExpectedUnits(t *testing.T) {
 		t.Errorf("ExpectedUnits with offset past population = %d, want 0", got)
 	}
 }
-
-// TestMemCacheLRU: the byte cap evicts least-recently-used entries on
-// insert, a Get refreshes recency, the just-inserted entry is never
-// evicted, and the stats counters track it all.
-func TestMemCacheLRU(t *testing.T) {
-	p := genProg(t, "gzipx", 100_000)
-	cfg := uarch.Config8Way()
-	params := func(j uint64) checkpoint.Params {
-		return checkpoint.Params{U: 1000, K: 20, J: j}
-	}
-	sets := make([]*checkpoint.Set, 4)
-	keys := make([]checkpoint.Key, 4)
-	size := make([]int64, 4)
-	for j := range sets {
-		sets[j] = capture(t, p, cfg, params(uint64(j)))
-		keys[j] = checkpoint.KeyFor(p, cfg, params(uint64(j)))
-		size[j] = int64(sets[j].WarmBytes()) + int64(sets[j].MemBytes())
-		if size[j] == 0 {
-			t.Fatal("captured set accounts zero payload bytes")
-		}
-	}
-
-	c := checkpoint.NewMemCache()
-	// Room for entries 0 and 1, or 0 and 2 — but not all three, so the
-	// third insert evicts exactly one entry.
-	c.MaxBytes = size[0] + size[1] + size[2] - 1
-
-	c.Put(keys[0], sets[0])
-	c.Put(keys[1], sets[1])
-	if c.Bytes() > c.MaxBytes {
-		t.Fatalf("cache holds %d bytes over the %d cap", c.Bytes(), c.MaxBytes)
-	}
-	// Touch 0 so 1 is the LRU entry, then insert 2: 1 must go.
-	if c.Get(keys[0]) == nil {
-		t.Fatal("entry 0 missing before eviction pressure")
-	}
-	c.Put(keys[2], sets[2])
-	if c.Get(keys[1]) != nil {
-		t.Fatal("least-recently-used entry survived eviction")
-	}
-	if c.Get(keys[0]) == nil || c.Get(keys[2]) == nil {
-		t.Fatal("recently-used entries were evicted")
-	}
-
-	// An entry bigger than the whole cap still serves its own run: the
-	// just-inserted entry is exempt from eviction.
-	tiny := checkpoint.NewMemCache()
-	tiny.MaxBytes = 1
-	tiny.Put(keys[3], sets[3])
-	if tiny.Get(keys[3]) == nil {
-		t.Fatal("oversized just-inserted entry was evicted")
-	}
-
-	hits, misses, evictions := c.Stats()
-	if evictions != 1 {
-		t.Fatalf("evictions = %d, want 1", evictions)
-	}
-	if hits != 3 || misses != 1 {
-		t.Fatalf("hits/misses = %d/%d, want 3/1", hits, misses)
-	}
-
-	// Unbounded cache never evicts.
-	free := checkpoint.NewMemCache()
-	for j := range sets {
-		free.Put(keys[j], sets[j])
-	}
-	if _, _, ev := free.Stats(); ev != 0 {
-		t.Fatalf("unbounded cache evicted %d entries", ev)
-	}
-	if want := size[0] + size[1] + size[2] + size[3]; free.Bytes() != want {
-		t.Fatalf("unbounded cache accounts %d bytes, want %d", free.Bytes(), want)
-	}
-}

@@ -37,9 +37,10 @@ type Options struct {
 	// runs from. StoreMaxBytes caps the store (see sim.WithStoreLimit).
 	StoreDir      string
 	StoreMaxBytes int64
-	// MemCacheBytes caps the in-memory sweep cache's snapshot payload
-	// (0 = unbounded). The cache fronts the store either way: fetches
-	// hit memory first, uploads land in both.
+	// MemCacheBytes caps the sweep cache's memory tier at that much
+	// snapshot payload (0 = unbounded). The memory tier fronts the store:
+	// fetches hit memory first, uploads land in both (in memory only for
+	// NoStore runs).
 	MemCacheBytes int64
 	// MaxActive bounds concurrently executing runs (default 2);
 	// MaxQueue bounds runs waiting for a slot (default 16). A run
@@ -77,8 +78,7 @@ type Options struct {
 // All methods are safe for concurrent use.
 type Coordinator struct {
 	opt    Options
-	store  *checkpoint.Store
-	sweeps *checkpoint.MemCache
+	sweeps *checkpoint.SweepCache // memory tier in front of the optional store
 	client *http.Client
 	slots  chan struct{}
 
@@ -110,7 +110,7 @@ type Coordinator struct {
 	// also persisted as *.partial files, surviving coordinator restarts.
 	partials map[string][]byte
 
-	progs programs
+	progs program.Cache
 }
 
 // maxFinishedRuns bounds how many terminal runs stay addressable for
@@ -123,49 +123,12 @@ type claimState struct {
 }
 
 // activeRun pins the key material the sweep endpoints need for a run's
-// hash, refcounted across concurrent runs sharing it.
+// hash, refcounted across concurrent runs sharing it. sweeps is the
+// coordinator's cache, without its disk tier for a NoStore run.
 type activeRun struct {
-	key     checkpoint.Key
-	noStore bool
-	refs    int
-}
-
-// programs caches generated workloads by (name, length); coordinator
-// and worker both regenerate a run's program from its spec.
-type programs struct {
-	mu sync.Mutex
-	m  map[progKey]*program.Program
-}
-
-type progKey struct {
-	name   string
-	length uint64
-}
-
-// get returns the generated program for (name, length), cached.
-func (ps *programs) get(name string, length uint64) (*program.Program, error) {
-	key := progKey{name, length}
-	ps.mu.Lock()
-	p, ok := ps.m[key]
-	ps.mu.Unlock()
-	if ok {
-		return p, nil
-	}
-	spec, err := program.ByName(name)
-	if err != nil {
-		return nil, err
-	}
-	p, err = program.Generate(spec, length)
-	if err != nil {
-		return nil, err
-	}
-	ps.mu.Lock()
-	if ps.m == nil {
-		ps.m = make(map[progKey]*program.Program)
-	}
-	ps.m[key] = p
-	ps.mu.Unlock()
-	return p, nil
+	key    checkpoint.Key
+	sweeps *checkpoint.SweepCache
+	refs   int
 }
 
 // workerRef is one registered worker.
@@ -234,7 +197,6 @@ func NewCoordinator(opt Options) (*Coordinator, error) {
 	}
 	c := &Coordinator{
 		opt:      opt,
-		sweeps:   checkpoint.NewMemCache(),
 		client:   &http.Client{},
 		slots:    make(chan struct{}, opt.MaxActive),
 		claims:   make(map[string]claimState),
@@ -244,7 +206,7 @@ func NewCoordinator(opt Options) (*Coordinator, error) {
 		epoch:    randHex(8),
 	}
 	c.lifeCtx, c.lifeCancel = context.WithCancel(context.Background()) //simlint:noctx server lifecycle root; outlives any one request, cancelled by Close
-	c.sweeps.MaxBytes = opt.MemCacheBytes
+	c.sweeps = checkpoint.NewSweepCache(opt.MemCacheBytes, nil)
 	if opt.StoreDir != "" {
 		store, err := checkpoint.OpenStore(opt.StoreDir)
 		if err != nil {
@@ -252,7 +214,7 @@ func NewCoordinator(opt Options) (*Coordinator, error) {
 		}
 		store.MaxBytes = opt.StoreMaxBytes
 		store.Logf = opt.Logf
-		c.store = store
+		c.sweeps = checkpoint.NewSweepCache(opt.MemCacheBytes, store)
 		c.recoverRuns()
 	}
 	return c, nil
@@ -352,7 +314,11 @@ func (c *Coordinator) retainRun(hash string, key checkpoint.Key, noStore bool) {
 		run.refs++
 		return
 	}
-	c.active[hash] = &activeRun{key: key, noStore: noStore, refs: 1}
+	sweeps := c.sweeps
+	if noStore {
+		sweeps = sweeps.WithoutDisk()
+	}
+	c.active[hash] = &activeRun{key: key, sweeps: sweeps, refs: 1}
 }
 
 func (c *Coordinator) releaseRun(hash string) {
@@ -367,15 +333,6 @@ func (c *Coordinator) releaseRun(hash string) {
 		delete(c.active, hash)
 		delete(c.claims, hash)
 	}
-}
-
-// sweepReady reports a reusable committed sweep for run (memory first,
-// then the store unless the run opted out).
-func (c *Coordinator) sweepReady(run *activeRun) bool {
-	if c.sweeps.Contains(run.key) {
-		return true
-	}
-	return c.store != nil && !run.noStore && c.store.Contains(run.key)
 }
 
 // resolvedRun is a request resolved against its generated workload:
@@ -399,7 +356,7 @@ func (c *Coordinator) resolve(wr *wireRequest) (*resolvedRun, error) {
 	if length == 0 {
 		length = sim.DefaultLength
 	}
-	prog, err := c.progs.get(req.Workload, length)
+	prog, err := c.progs.Get(req.Workload, length)
 	if err != nil {
 		return nil, err
 	}
@@ -424,7 +381,7 @@ func (c *Coordinator) resolve(wr *wireRequest) (*resolvedRun, error) {
 // spec — the already-resolved plan, not the raw request, so recovery
 // cannot re-resolve differently.
 func (c *Coordinator) resolveSpec(hdr *journalRun) (*resolvedRun, error) {
-	prog, err := c.progs.get(hdr.Spec.Workload, hdr.Spec.Length)
+	prog, err := c.progs.Get(hdr.Spec.Workload, hdr.Spec.Length)
 	if err != nil {
 		return nil, err
 	}
@@ -649,7 +606,7 @@ func (c *Coordinator) accept(wr *wireRequest) (*runState, error) {
 	rs := c.newRunState("r-"+randHex(8), wr)
 	rs.rr = rr
 	rs.hasSlot, rs.inQueue = hasSlot, inQueue
-	if c.store != nil {
+	if c.sweeps.Store() != nil {
 		hdr := journalRun{ID: rs.id, Req: *wr, Spec: rr.spec, Total: rr.total, Pop: rr.pop}
 		j, jerr := writeRunJournal(c.opt.StoreDir, rs.id, c.opt.Logf, journalLine{Run: &hdr})
 		if jerr != nil {
@@ -1302,7 +1259,7 @@ func (c *Coordinator) handleClaim(rw http.ResponseWriter, req *http.Request) {
 		return
 	}
 	state := claimWait
-	if c.sweepReady(run) {
+	if run.sweeps.Contains(run.key) {
 		state = claimReady
 	} else {
 		cl, claimed := c.claims[msg.Hash]
@@ -1339,17 +1296,10 @@ func (c *Coordinator) handleSweepGet(rw http.ResponseWriter, req *http.Request) 
 		http.Error(rw, "no active run for sweep", http.StatusNotFound)
 		return
 	}
-	set := c.sweeps.Get(run.key)
-	if set == nil && c.store != nil && !run.noStore {
-		loaded, err := c.store.Load(run.key)
-		if err != nil {
-			http.Error(rw, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		if loaded != nil {
-			c.sweeps.Put(run.key, loaded)
-			set = loaded
-		}
+	set, err := run.sweeps.Get(run.key)
+	if err != nil {
+		http.Error(rw, err.Error(), http.StatusInternalServerError)
+		return
 	}
 	if set == nil {
 		http.Error(rw, "sweep not available", http.StatusNotFound)
@@ -1375,18 +1325,13 @@ func (c *Coordinator) handleSweepPut(rw http.ResponseWriter, req *http.Request) 
 		http.Error(rw, err.Error(), http.StatusBadRequest)
 		return
 	}
-	c.sweeps.Put(run.key, set)
-	if c.store != nil && !run.noStore && !c.store.Contains(run.key) {
-		if err := c.store.Save(run.key, set); err != nil {
-			c.logf("dist: persisting sweep %s failed: %v", hash, err)
-		}
-	}
+	run.sweeps.Put(run.key, set)
 	c.mu.Lock()
 	delete(c.claims, hash)
 	delete(c.partials, hash)
 	c.mu.Unlock()
-	if c.store != nil && !run.noStore {
-		c.store.DropPartial(run.key)
+	if store := run.sweeps.Store(); store != nil {
+		store.DropPartial(run.key)
 	}
 	c.logf("dist: sweep %s uploaded (%d units)", hash, len(set.Units))
 	rw.WriteHeader(http.StatusNoContent)
@@ -1417,8 +1362,8 @@ func (c *Coordinator) handlePartialPut(rw http.ResponseWriter, req *http.Request
 	c.mu.Lock()
 	c.partials[hash] = raw
 	c.mu.Unlock()
-	if c.store != nil && !run.noStore {
-		if err := c.store.SavePartial(run.key, rs); err != nil {
+	if store := run.sweeps.Store(); store != nil {
+		if err := store.SavePartial(run.key, rs); err != nil {
 			c.logf("dist: persisting partial %s failed: %v", hash, err)
 		}
 	}
@@ -1439,8 +1384,8 @@ func (c *Coordinator) handlePartialGet(rw http.ResponseWriter, req *http.Request
 	c.mu.Lock()
 	raw := c.partials[hash]
 	c.mu.Unlock()
-	if raw == nil && c.store != nil && !run.noStore {
-		rs, err := c.store.LoadPartial(run.key)
+	if store := run.sweeps.Store(); raw == nil && store != nil {
+		rs, err := store.LoadPartial(run.key)
 		if err == nil && rs != nil {
 			var buf bytes.Buffer
 			if err := checkpoint.EncodePartial(&buf, run.key, rs); err == nil {

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
@@ -114,28 +115,37 @@ func newClusterWrapped(t *testing.T, machines, workersEach int, copt Options, wr
 	t.Cleanup(csrv.Close)
 	cl := &cluster{coord: coord, coordURL: csrv.URL}
 	for i := 0; i < machines; i++ {
-		var w *Worker
-		var h http.Handler
-		wsrv := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
-			h.ServeHTTP(rw, r)
-		}))
-		t.Cleanup(wsrv.Close)
-		w = NewWorker(WorkerOptions{
-			Coordinator:  csrv.URL,
-			Self:         wsrv.URL,
-			Workers:      workersEach,
-			PollInterval: 5 * time.Millisecond,
+		cl.addWorker(t, workersEach, func(h http.Handler) http.Handler {
+			if wrap != nil {
+				return wrap(i, h)
+			}
+			return h
 		})
-		h = w.Handler()
-		if wrap != nil {
-			h = wrap(i, h)
-		}
-		if err := w.Register(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-		cl.workers = append(cl.workers, w)
 	}
 	return cl
+}
+
+// addWorker starts one more loopback worker machine (its handler passed
+// through wrap) and registers it with the coordinator.
+func (cl *cluster) addWorker(t *testing.T, workersEach int, wrap func(h http.Handler) http.Handler) *Worker {
+	t.Helper()
+	var h http.Handler
+	wsrv := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		h.ServeHTTP(rw, r)
+	}))
+	t.Cleanup(wsrv.Close)
+	w := NewWorker(WorkerOptions{
+		Coordinator:  cl.coordURL,
+		Self:         wsrv.URL,
+		Workers:      workersEach,
+		PollInterval: 5 * time.Millisecond,
+	})
+	h = wrap(w.Handler())
+	if err := w.Register(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	cl.workers = append(cl.workers, w)
+	return w
 }
 
 func (cl *cluster) sweepTotal() uint64 {
@@ -217,6 +227,56 @@ func TestSharedStoreEntry(t *testing.T) {
 	if !rep2.Result().SweepCached {
 		t.Fatal("store-served run not marked SweepCached")
 	}
+}
+
+// TestNoStoreFleet: over a loopback fleet whose coordinator has a
+// store, NoStore bypasses only the coordinator's disk tier. The run
+// writes no store entry, yet a later NoStore run reuses the sweep the
+// coordinator holds in memory: a fresh worker with an empty local cache
+// fetches it instead of sweeping, and the bits are unchanged.
+func TestNoStoreFleet(t *testing.T) {
+	want := baseline(t, testRequest())
+	dir := t.TempDir()
+	cl := newCluster(t, 1, 2, Options{StoreDir: dir})
+	client := NewClient(cl.coordURL)
+	noEntries := func(label string) {
+		t.Helper()
+		for _, pattern := range []string{"*.ckpt", "*.partial"} {
+			if m, _ := filepath.Glob(filepath.Join(dir, pattern)); len(m) != 0 {
+				t.Fatalf("%s: NoStore run wrote %v", label, m)
+			}
+		}
+	}
+
+	rep, err := client.Run(context.Background(), testRequest(sim.NoStore()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameMeasurement(t, "NoStore run", rep.Result(), want)
+	if n := cl.sweepTotal(); n != 1 {
+		t.Fatalf("fleet ran %d sweeps, want 1", n)
+	}
+	noEntries("first run")
+
+	// Retire the sweeping worker so the next run lands on a fresh worker
+	// whose local cache is empty: only the coordinator's memory tier can
+	// spare it a sweep.
+	for _, w := range cl.coord.liveWorkers() {
+		w.markDead()
+	}
+	fresh := cl.addWorker(t, 2, func(h http.Handler) http.Handler { return h })
+	rep2, err := client.Run(context.Background(), testRequest(sim.NoStore()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameMeasurement(t, "memory-served NoStore run", rep2.Result(), want)
+	if !rep2.Result().SweepCached {
+		t.Fatal("second NoStore run did not reuse the coordinator's in-memory sweep")
+	}
+	if n := fresh.SweepCount(); n != 0 {
+		t.Fatalf("fresh worker swept %d times despite the coordinator's in-memory sweep", n)
+	}
+	noEntries("second run")
 }
 
 // killingHandler aborts the connection after limit response writes on

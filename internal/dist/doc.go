@@ -81,8 +81,9 @@
 // renews it by re-claiming every LeaseTTL/3 while it sweeps, so if the
 // owner dies mid-sweep the claim expires after LeaseTTL and the next
 // poller takes ownership. The uploaded sweep lands in the
-// coordinator's bounded MemCache and (unless the request opts out) its
-// on-disk store, so later runs skip the sweep entirely.
+// coordinator's checkpoint.SweepCache — its bounded memory tier and,
+// unless the request opts out (NoStore), its on-disk store — so later
+// runs skip the sweep entirely.
 //
 // # Crash-safe sweeps
 //

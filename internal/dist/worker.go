@@ -76,12 +76,12 @@ type Worker struct {
 	opt       WorkerOptions
 	policy    retryPolicy
 	client    *http.Client
-	cache     *checkpoint.MemCache
+	cache     *checkpoint.SweepCache // memory tier only
 	sweeps    atomic.Uint64
 	sweepExec atomic.Uint64
 	replayed  atomic.Uint64
 
-	progs programs
+	progs program.Cache
 }
 
 // NewWorker builds a worker.
@@ -89,14 +89,12 @@ func NewWorker(opt WorkerOptions) *Worker {
 	if opt.PollInterval <= 0 {
 		opt.PollInterval = 50 * time.Millisecond
 	}
-	w := &Worker{
+	return &Worker{
 		opt:    opt,
 		policy: retryPolicy{Attempts: opt.Retries, Base: opt.RetryBase, Max: opt.RetryMax}.withDefaults(),
 		client: faultClient(opt.Faults),
-		cache:  checkpoint.NewMemCache(),
+		cache:  checkpoint.NewSweepCache(opt.MemCacheBytes, nil),
 	}
-	w.cache.MaxBytes = opt.MemCacheBytes
-	return w
 }
 
 func (w *Worker) logf(format string, args ...any) {
@@ -230,7 +228,7 @@ func (w *Worker) handleShard(rw http.ResponseWriter, req *http.Request) {
 		return
 	}
 	ctx := req.Context()
-	prog, err := w.progs.get(msg.Spec.Workload, msg.Spec.Length)
+	prog, err := w.progs.Get(msg.Spec.Workload, msg.Spec.Length)
 	if err != nil {
 		http.Error(rw, err.Error(), http.StatusBadRequest)
 		return
@@ -287,14 +285,8 @@ func (w *Worker) handleShard(rw http.ResponseWriter, req *http.Request) {
 		return
 	}
 
-	lo, hi := msg.Lo, msg.Hi
-	if hi > len(set.Units) {
-		// The coordinator sizes shards from the expected unit count;
-		// the captured count falls short when the program halts early.
-		hi = len(set.Units)
-	}
 	opt := engine.Options{Workers: w.opt.Workers}
-	err = engine.ReplayRange(ctx, prog, cfg, plan.U, set, lo, hi, opt, func(ru engine.RangeUnit) bool {
+	err = engine.ReplayRange(ctx, prog, cfg, plan.U, set, msg.Lo, msg.Hi, opt, func(ru engine.RangeUnit) bool {
 		if ok, _ := w.opt.Faults.fire(FaultKillMidStream); ok {
 			w.opt.Faults.kill()
 		}
@@ -341,7 +333,7 @@ func (n retryNotify) forOp(op string) func(int, error) {
 // the shard stream, never the sweep itself — a half-captured set would
 // waste the fleet's one sweep.
 func (w *Worker) ensureSet(ctx context.Context, key checkpoint.Key, prog *program.Program, cfg uarch.Config, params checkpoint.Params, onCaptured func(int) bool, onRetry retryNotify) (set *checkpoint.Set, swept bool, err error) {
-	if set := w.cache.Get(key); set != nil {
+	if set, _ := w.cache.Get(key); set != nil { //simlint:discard a memory-only cache never fails
 		return set, false, nil
 	}
 	hash := key.Hash()

@@ -9,10 +9,11 @@
 //
 // Because capture and replay overlap, end-to-end wall clock approaches
 // max(sweep, replay/workers) instead of their sum — the sweep stops
-// being an Amdahl pre-pass. With a checkpoint store attached
-// (Options.Store), a workload's sweep is paid once and later runs skip
-// it entirely, loading launch states from disk. LoadOrCapture is the
-// capture-then-replay form that multi-offset runs use with RunSet.
+// being an Amdahl pre-pass. With a sweep cache attached (Options.Cache:
+// memory, an on-disk checkpoint store, or both), a workload's sweep is
+// paid once and later runs skip it entirely, reusing its launch states.
+// LoadOrCapture is the capture-then-replay form that multi-offset runs
+// use with RunSet.
 //
 // Because every unit's detailed simulation is fully determined by its
 // checkpoint, and every schedule folds units through one stream-order
@@ -56,17 +57,12 @@ type Options struct {
 	// MinUnits is the minimum number of units measured before early
 	// termination may trigger (default 2).
 	MinUnits uint64
-	// Store, when non-nil, is consulted before sweeping: a usable entry
-	// for this (workload, plan, warm geometry) skips the functional
-	// sweep entirely, and a completed fresh sweep is persisted for
-	// later runs. Early-terminated sweeps are not persisted (they are
-	// incomplete).
-	Store *checkpoint.Store
-	// Cache, when non-nil, is the in-memory analogue of Store, checked
-	// after it: a cached Set for this key skips the sweep, and a
-	// completed fresh sweep is cached. The sim session attaches one to
-	// storeless sessions so sweep reuse does not require disk.
-	Cache *checkpoint.MemCache
+	// Cache, when non-nil, is consulted before sweeping: a sweep it
+	// holds for this (workload, plan, warm geometry) skips the
+	// functional sweep entirely, and a completed fresh sweep is committed
+	// to its tiers for later runs. Early-terminated sweeps are not
+	// committed (they are incomplete).
+	Cache *checkpoint.SweepCache
 	// Keyframe overrides checkpoint.Params.Keyframe (the full-snapshot
 	// interval of delta-encoded capture) when positive. It changes only
 	// the encoding, never the materialized launch states, and is
@@ -79,8 +75,9 @@ type Options struct {
 	// an interrupted sweep from the journal instead of restarting at
 	// instruction zero — the resumed unit stream is bit-identical to an
 	// uninterrupted sweep's. 0 selects DefaultResumeInterval; negative
-	// disables journaling and resume. Ignored without a Store (the
-	// journal lives in the store directory) and by LoadOrCapture.
+	// disables journaling and resume. Ignored without a disk tier in
+	// Cache (the journal lives in the store directory) and by
+	// LoadOrCapture.
 	ResumeInterval int
 	// SweepParallelism overrides checkpoint.Params.SweepParallelism when
 	// above 1: the capture sweep runs as that many concurrent stream
@@ -98,7 +95,7 @@ type Options struct {
 	// OnCaptured, when non-nil, observes sweep progress: it is called
 	// with the cumulative captured-unit count each time a launch
 	// snapshot enters the pipeline (once with the total when the launch
-	// states come from the store, the cache, or LoadOrCapture). Called
+	// states come from the cache or LoadOrCapture). Called
 	// from the sweep goroutine; callbacks must be fast and may not block
 	// on the engine.
 	OnCaptured func(captured int)
@@ -191,9 +188,9 @@ type Result struct {
 // the bottleneck and the snapshots' memory stays bounded.
 const streamBuffer = 4
 
-// Run executes the plan described by p: launch states are loaded from
-// the store or cache when possible, captured by a streaming sweep
-// otherwise, and replayed across the worker pool.
+// Run executes the plan described by p: launch states come from the
+// sweep cache when possible, from a streaming sweep otherwise, and are
+// replayed across the worker pool.
 //
 // ctx cancels the whole pipeline: the sweep stops at its next chunk
 // boundary, workers finish only their in-flight unit, the store writer
@@ -219,7 +216,7 @@ func Run(ctx context.Context, prog *program.Program, cfg uarch.Config, p checkpo
 	start := wallclock.Now()
 	p = opt.params(p)
 	key := opt.keyFor(prog, cfg, p)
-	set, err := opt.lookup(key)
+	set, err := opt.Cache.Get(key)
 	if err != nil {
 		return nil, err
 	}
@@ -238,9 +235,9 @@ func Run(ctx context.Context, prog *program.Program, cfg uarch.Config, p checkpo
 }
 
 // LoadOrCapture returns the launch states p describes and whether they
-// were reused: a sweep held by the store or the cache is loaded,
-// otherwise a capture sweep runs to completion and is saved and cached
-// before LoadOrCapture returns. It is the capture-then-replay schedule
+// were reused: a sweep the cache holds is loaded, otherwise a capture
+// sweep runs to completion and is committed to the cache before
+// LoadOrCapture returns. It is the capture-then-replay schedule
 // of multi-offset runs, which replay the one set per offset with
 // RunSet; Run instead overlaps a fresh sweep with replay. The returned
 // set is the caller's.
@@ -253,7 +250,7 @@ func LoadOrCapture(ctx context.Context, prog *program.Program, cfg uarch.Config,
 		return nil, false, err
 	}
 	key := opt.keyFor(prog, cfg, p)
-	if set, err = opt.lookup(key); err != nil {
+	if set, err = opt.Cache.Get(key); err != nil {
 		return nil, false, err
 	}
 	cached = set != nil
@@ -261,14 +258,7 @@ func LoadOrCapture(ctx context.Context, prog *program.Program, cfg uarch.Config,
 		if set, err = checkpoint.Capture(ctx, prog, cfg, p); err != nil {
 			return nil, false, err
 		}
-		if opt.Store != nil {
-			if serr := opt.Store.Save(key, set); serr != nil {
-				opt.Store.Log("checkpoint store: save failed: %v", serr)
-			}
-		}
-		if opt.Cache != nil {
-			opt.Cache.Put(key, copySet(set))
-		}
+		opt.Cache.Put(key, set)
 	}
 	if opt.OnCaptured != nil {
 		opt.OnCaptured(len(set.Units))
@@ -290,44 +280,13 @@ func (o Options) params(p checkpoint.Params) checkpoint.Params {
 	return p
 }
 
-// keyFor returns p's store key, or the zero key when no store or cache
-// is attached to look it up in.
+// keyFor returns p's store key, or the zero key when no cache is
+// attached to look it up in.
 func (o Options) keyFor(prog *program.Program, cfg uarch.Config, p checkpoint.Params) checkpoint.Key {
-	if o.Store == nil && o.Cache == nil {
+	if o.Cache == nil {
 		return checkpoint.Key{}
 	}
 	return checkpoint.KeyFor(prog, cfg, p)
-}
-
-// lookup returns the sweep for key held by the store, else by the
-// cache, or nil when neither holds one. The returned set is the
-// caller's to consume: a cache hit is copied, so the shared original
-// is never modified.
-func (o Options) lookup(key checkpoint.Key) (*checkpoint.Set, error) {
-	if o.Store != nil {
-		if set, err := o.Store.Load(key); err != nil || set != nil {
-			return set, err
-		}
-	}
-	if o.Cache != nil {
-		if set := o.Cache.Get(key); set != nil {
-			return copySet(set), nil
-		}
-	}
-	return nil, nil
-}
-
-// copySet shallow-copies a Set so replaySet's entry-nilling never
-// touches a shared original; the units themselves stay shared (replay
-// only reads them).
-func copySet(set *checkpoint.Set) *checkpoint.Set {
-	return &checkpoint.Set{
-		Units:           append([]*checkpoint.Unit(nil), set.Units...),
-		K:               set.K,
-		PopulationUnits: set.PopulationUnits,
-		SweepInsts:      set.SweepInsts,
-		SweepTime:       set.SweepTime,
-	}
 }
 
 // RunSet replays an already-captured set of launch states across the
@@ -348,7 +307,7 @@ func RunSet(ctx context.Context, prog *program.Program, cfg uarch.Config, u uint
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return replaySet(ctx, prog, cfg, u, copySet(set), opt, wallclock.Now())
+	return replaySet(ctx, prog, cfg, u, set.Clone(), opt, wallclock.Now())
 }
 
 // replaySet feeds an in-memory set through the replay pool. It owns
@@ -394,7 +353,8 @@ func replaySet(ctx context.Context, prog *program.Program, cfg uarch.Config, u u
 
 // replayStreaming overlaps the capture sweep with replay: the sweep
 // goroutine emits each unit into the pipeline the moment its snapshot
-// is taken, and persists the stream to the store when one is attached.
+// is taken, and commits the stream to the sweep cache when one is
+// attached.
 func replayStreaming(ctx context.Context, prog *program.Program, cfg uarch.Config, p checkpoint.Params, key checkpoint.Key, opt Options, start time.Time) (*Result, error) {
 	col := newCollector(ctx, prog, cfg, p.U, opt.workers(), opt, 0)
 
@@ -404,29 +364,22 @@ func replayStreaming(ctx context.Context, prog *program.Program, cfg uarch.Confi
 	}
 	sweepc := make(chan sweepOut, 1)
 	go func() {
-		var sw *checkpoint.SetWriter
-		if opt.Store != nil {
-			var err error
-			sw, err = opt.Store.Writer(key, prog.Length/p.U)
-			if err != nil {
-				opt.Store.Log("checkpoint store: not saving: %v", err)
-				sw = nil
-			}
-		}
+		sw := opt.Cache.Writer(key, prog.Length/p.U)
+		store := opt.Cache.Store()
 		// Crash-safe resume: load any partial-sweep journal left by an
 		// interrupted run of this key, and stage a fresh journal this
 		// sweep commits its own progress into (the previously journaled
 		// units are re-added so the new journal is self-contained).
 		var pw *checkpoint.PartialWriter
 		var rs *checkpoint.ResumeState
-		if ri := opt.ResumeKeyframes(); opt.Store != nil && ri > 0 && p.SweepParallelism <= 1 {
+		if ri := opt.ResumeKeyframes(); store != nil && ri > 0 && p.SweepParallelism <= 1 {
 			var rerr error
-			if rs, rerr = checkpoint.Resume(opt.Store, key); rerr != nil {
-				opt.Store.Log("checkpoint store: resume unavailable: %v", rerr)
+			if rs, rerr = checkpoint.Resume(store, key); rerr != nil {
+				store.Log("checkpoint store: resume unavailable: %v", rerr)
 				rs = nil
 			}
-			if pw0, perr := opt.Store.PartialWriter(key, prog.Length/p.U); perr != nil {
-				opt.Store.Log("checkpoint store: not journaling: %v", perr)
+			if pw0, perr := store.PartialWriter(key, prog.Length/p.U); perr != nil {
+				store.Log("checkpoint store: not journaling: %v", perr)
 			} else {
 				pw = pw0
 			}
@@ -436,13 +389,10 @@ func replayStreaming(ctx context.Context, prog *program.Program, cfg uarch.Confi
 		// writer has already cleaned up after itself; a journal from an
 		// earlier run that this writer never replaced stays usable.
 		journalFail := func(werr error) {
-			opt.Store.Log("checkpoint store: sweep journal failed: %v", werr)
+			store.Log("checkpoint store: sweep journal failed: %v", werr)
 			pw = nil
 		}
 
-		// With an in-memory cache attached, retain the streamed units so
-		// a complete sweep can be cached for later requests.
-		var retained []*checkpoint.Unit
 		captured := 0
 		kfSince := 0 // keyframes captured since the last journal commit
 		var lastFrame checkpoint.ResumeFrame
@@ -452,30 +402,30 @@ func replayStreaming(ctx context.Context, prog *program.Program, cfg uarch.Confi
 		// the journal against the plan, so an unusable journal feeds
 		// nothing and the sweep can restart cold below.
 		fedResumed := rs == nil
+		// push writes cu through to the sweep cache and the journal, then
+		// feeds it to the pipeline; false once the pipeline has quit.
+		push := func(cu *checkpoint.Unit) bool {
+			sw.Add(cu)
+			if pw != nil {
+				if werr := pw.Add(cu); werr != nil {
+					journalFail(werr)
+				}
+			}
+			select {
+			case col.feed <- cu:
+				captured++
+				if opt.OnCaptured != nil {
+					opt.OnCaptured(captured)
+				}
+				return true
+			case <-col.quit:
+				return false
+			}
+		}
 		feedResumed := func() bool {
 			fedResumed = true
 			for _, cu := range rs.Units {
-				if sw != nil {
-					if werr := sw.Add(cu); werr != nil {
-						opt.Store.Log("checkpoint store: save failed mid-sweep: %v", werr)
-						sw = nil
-					}
-				}
-				if pw != nil {
-					if werr := pw.Add(cu); werr != nil {
-						journalFail(werr)
-					}
-				}
-				if opt.Cache != nil {
-					retained = append(retained, cu)
-				}
-				select {
-				case col.feed <- cu:
-					captured++
-					if opt.OnCaptured != nil {
-						opt.OnCaptured(captured)
-					}
-				case <-col.quit:
+				if !push(cu) {
 					return false
 				}
 			}
@@ -495,41 +445,18 @@ func replayStreaming(ctx context.Context, prog *program.Program, cfg uarch.Confi
 			if !fedResumed && !feedResumed() {
 				return false
 			}
-			if sw != nil {
-				if werr := sw.Add(cu); werr != nil {
-					opt.Store.Log("checkpoint store: save failed mid-sweep: %v", werr)
-					sw = nil
-				}
-			}
-			if pw != nil {
-				if werr := pw.Add(cu); werr != nil {
-					journalFail(werr)
-				}
-			}
 			if cu.Mem != nil {
 				kfSince++
 			}
-			if opt.Cache != nil {
-				retained = append(retained, cu)
-			}
-			select {
-			case col.feed <- cu:
-				captured++
-				if opt.OnCaptured != nil {
-					opt.OnCaptured(captured)
-				}
-				return true
-			case <-col.quit:
-				return false
-			}
+			return push(cu)
 		}
 		sum, err := checkpoint.CaptureStream(ctx, prog, cfg, p, emit)
 		if err != nil && p.Resume != nil && !fedResumed && ctx.Err() == nil {
 			// The journal failed resume validation before anything entered
 			// the pipeline: drop it and sweep cold rather than failing a
 			// run a cold sweep can still complete.
-			opt.Store.Log("checkpoint store: dropping unusable partial %s: %v", key.Hash(), err)
-			opt.Store.DropPartial(key)
+			store.Log("checkpoint store: dropping unusable partial %s: %v", key.Hash(), err)
+			store.DropPartial(key)
 			p.Resume, rs = nil, nil
 			fedResumed = true
 			sum, err = checkpoint.CaptureStream(ctx, prog, cfg, p, emit)
@@ -540,14 +467,10 @@ func replayStreaming(ctx context.Context, prog *program.Program, cfg uarch.Confi
 			feedResumed()
 		}
 		close(col.feed)
-		if sw != nil {
-			if err == nil && sum.Complete {
-				if werr := sw.Commit(sum.SweepInsts, sum.SweepTime); werr != nil {
-					opt.Store.Log("checkpoint store: save failed: %v", werr)
-				}
-			} else {
-				sw.Abort()
-			}
+		if err == nil && sum.Complete {
+			sw.Commit(p.K, sum)
+		} else {
+			sw.Abort()
 		}
 		if pw != nil {
 			if err == nil && sum.Complete {
@@ -564,19 +487,10 @@ func replayStreaming(ctx context.Context, prog *program.Program, cfg uarch.Confi
 				}
 				if pw != nil {
 					if werr := pw.Close(); werr != nil {
-						opt.Store.Log("checkpoint store: sweep journal close failed: %v", werr)
+						store.Log("checkpoint store: sweep journal close failed: %v", werr)
 					}
 				}
 			}
-		}
-		if opt.Cache != nil && err == nil && sum.Complete {
-			opt.Cache.Put(key, &checkpoint.Set{
-				Units:           retained,
-				K:               p.K,
-				PopulationUnits: sum.PopulationUnits,
-				SweepInsts:      sum.SweepInsts,
-				SweepTime:       sum.SweepTime,
-			})
 		}
 		sweepc <- sweepOut{sum, err}
 	}()

@@ -156,7 +156,7 @@ func TestStoreRunBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	first, err := engine.Run(context.Background(), p, cfg, params, engine.Options{Workers: 2, Store: store})
+	first, err := engine.Run(context.Background(), p, cfg, params, engine.Options{Workers: 2, Cache: checkpoint.DiskCache(store)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestStoreRunBitIdentical(t *testing.T) {
 		t.Fatal("first run has no sweep accounting")
 	}
 
-	second, err := engine.Run(context.Background(), p, cfg, params, engine.Options{Workers: 5, Store: store})
+	second, err := engine.Run(context.Background(), p, cfg, params, engine.Options{Workers: 5, Cache: checkpoint.DiskCache(store)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestStoreRunBitIdentical(t *testing.T) {
 	variant := cfg
 	variant.Lat.Mem = 250
 	variant.EnergyScale = 2.0
-	third, err := engine.Run(context.Background(), p, variant, params, engine.Options{Workers: 2, Store: store})
+	third, err := engine.Run(context.Background(), p, variant, params, engine.Options{Workers: 2, Cache: checkpoint.DiskCache(store)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +208,7 @@ func TestStoreEarlyStopNotPersisted(t *testing.T) {
 	}
 
 	early, err := engine.Run(context.Background(), p, cfg, params, engine.Options{
-		Workers: 4, Store: store, TargetEps: 0.60, MinUnits: 10,
+		Workers: 4, Cache: checkpoint.DiskCache(store), TargetEps: 0.60, MinUnits: 10,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -217,7 +217,7 @@ func TestStoreEarlyStopNotPersisted(t *testing.T) {
 		t.Skip("confidence target not reached early at this scale")
 	}
 
-	full, err := engine.Run(context.Background(), p, cfg, params, engine.Options{Workers: 4, Store: store})
+	full, err := engine.Run(context.Background(), p, cfg, params, engine.Options{Workers: 4, Cache: checkpoint.DiskCache(store)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func TestStoreEarlyStopNotPersisted(t *testing.T) {
 	// Now the complete sweep is stored; a rerun of the early-stop
 	// configuration loads it and terminates at the same cutoff.
 	early2, err := engine.Run(context.Background(), p, cfg, params, engine.Options{
-		Workers: 2, Store: store, TargetEps: 0.60, MinUnits: 10,
+		Workers: 2, Cache: checkpoint.DiskCache(store), TargetEps: 0.60, MinUnits: 10,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -56,7 +56,7 @@ func TestEngineResumesCancelledSweep(t *testing.T) {
 	}
 	// Journal at every keyframe, keyframe every 4 units: an interruption
 	// replays at most 4 units of sweep.
-	opt := engine.Options{Workers: 2, Store: store, Keyframe: 4, ResumeInterval: 1}
+	opt := engine.Options{Workers: 2, Cache: checkpoint.DiskCache(store), Keyframe: 4, ResumeInterval: 1}
 
 	// Cancel mid-sweep, past the halfway mark so the resume saving is
 	// unambiguous.
@@ -121,7 +121,7 @@ func TestEngineResumeDisabled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := engine.Options{Workers: 2, Store: store, ResumeInterval: -1}
+	opt := engine.Options{Workers: 2, Cache: checkpoint.DiskCache(store), ResumeInterval: -1}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -153,7 +153,7 @@ func TestEngineResumeCorruptJournalFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := engine.Options{Workers: 2, Store: store, Keyframe: 4, ResumeInterval: 1}
+	opt := engine.Options{Workers: 2, Cache: checkpoint.DiskCache(store), Keyframe: 4, ResumeInterval: 1}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()

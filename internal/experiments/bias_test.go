@@ -86,7 +86,7 @@ func TestMeasureBiasStoreReuse(t *testing.T) {
 	}
 	ctx := freshTinyCtx()
 	ctx.Parallelism = 2
-	ctx.Ckpt = store
+	ctx.Ckpt = checkpoint.DiskCache(store)
 
 	first, err := experiments.MeasureBias(context.Background(), ctx, "gzipx", cfg, 1000, 2000, smarts.FunctionalWarming, 60, 3)
 	if err != nil {

@@ -120,10 +120,10 @@ type Context struct {
 	// ignore the fields below.
 	Parallelism int
 
-	// Ckpt, when non-nil, persists functional sweeps to disk and reuses
-	// them across experiments, phases, and smartsweep invocations.
-	// Results are bit-identical with or without it.
-	Ckpt *checkpoint.Store
+	// Ckpt, when non-nil, is the sweep cache that persists functional
+	// sweeps and reuses them across experiments, phases, and smartsweep
+	// invocations. Results are bit-identical with or without it.
+	Ckpt *checkpoint.SweepCache
 
 	// SweepParallelism and SweepOverlap configure the speculative
 	// parallel sweep (see engine.Options): the bias-vs-stride
@@ -133,8 +133,8 @@ type Context struct {
 	SweepParallelism int
 	SweepOverlap     int64
 
+	progs program.Cache
 	mu    sync.Mutex
-	progs map[string]*program.Program
 	refs  map[string]*smarts.Reference
 }
 
@@ -143,7 +143,7 @@ type Context struct {
 func (c *Context) engineOptions() smarts.EngineOptions {
 	return smarts.EngineOptions{Options: engine.Options{
 		Workers:          c.Parallelism,
-		Store:            c.Ckpt,
+		Cache:            c.Ckpt,
 		SweepParallelism: c.SweepParallelism,
 		SweepOverlap:     c.SweepOverlap,
 	}}
@@ -153,28 +153,13 @@ func (c *Context) engineOptions() smarts.EngineOptions {
 func NewContext(scale Scale) *Context {
 	return &Context{
 		Scale: scale,
-		progs: make(map[string]*program.Program),
 		refs:  make(map[string]*smarts.Reference),
 	}
 }
 
 // Program returns the generated workload, building it on first use.
 func (c *Context) Program(name string) (*program.Program, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if p, ok := c.progs[name]; ok {
-		return p, nil
-	}
-	spec, err := program.ByName(name)
-	if err != nil {
-		return nil, err
-	}
-	p, err := program.Generate(spec, c.Scale.BenchLen)
-	if err != nil {
-		return nil, err
-	}
-	c.progs[name] = p
-	return p, nil
+	return c.progs.Get(name, c.Scale.BenchLen)
 }
 
 // Reference returns the full-stream detailed reference for bench on cfg,

@@ -2,6 +2,7 @@ package program_test
 
 import (
 	"bytes"
+	"sync"
 	"testing"
 
 	"repro/internal/functional"
@@ -115,5 +116,42 @@ func TestScaling(t *testing.T) {
 		if ratio < 0.5 || ratio > 1.5 {
 			t.Errorf("target %d: got length %d (ratio %.2f)", target, p.Length, ratio)
 		}
+	}
+}
+
+// TestCacheConcurrentGet: parallel lookups of one (name, length) share
+// a single generation and return the identical *Program; a different
+// length is a different workload, and an unknown name fails without
+// poisoning the cache.
+func TestCacheConcurrentGet(t *testing.T) {
+	var c program.Cache
+	const n = 8
+	got := make([]*program.Program, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i], errs[i] = c.Get("gzipx", 50_000)
+		}(i)
+	}
+	wg.Wait()
+	for i := range got {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if got[i] != got[0] {
+			t.Fatalf("lookup %d returned a different *Program than lookup 0", i)
+		}
+	}
+	if other, err := c.Get("gzipx", 60_000); err != nil || other == got[0] {
+		t.Fatalf("a different length shared the cached program (err %v)", err)
+	}
+	if _, err := c.Get("nosuchx", 50_000); err == nil {
+		t.Fatal("unknown workload generated")
+	}
+	if again, err := c.Get("gzipx", 50_000); err != nil || again != got[0] {
+		t.Fatalf("cached program not reused after other lookups (err %v)", err)
 	}
 }

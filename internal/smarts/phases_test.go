@@ -67,7 +67,7 @@ func TestRunSampledPhasesStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := smarts.EngineOptions{Options: engine.Options{Workers: 2, Store: store}}
+	opt := smarts.EngineOptions{Options: engine.Options{Workers: 2, Cache: checkpoint.DiskCache(store)}}
 
 	first, err := smarts.RunPhases(context.Background(), p, cfg, plan, js, opt)
 	if err != nil {
@@ -104,7 +104,7 @@ func TestPlanStoreThroughRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	plan := smarts.PlanForN(p.Length, 1000, 1000, 40, smarts.FunctionalWarming, 0)
-	opt := smarts.EngineOptions{Options: engine.Options{Workers: 2, Store: store}}
+	opt := smarts.EngineOptions{Options: engine.Options{Workers: 2, Cache: checkpoint.DiskCache(store)}}
 
 	first, err := smarts.Run(context.Background(), p, cfg, plan, opt)
 	if err != nil {

@@ -56,7 +56,10 @@ type Request struct {
 	// for every worker count. Runs without functional warming execute
 	// on the in-place loop and ignore it.
 	Workers int
-	// NoStore bypasses the session's checkpoint store for this run.
+	// NoStore bypasses sweep reuse for this run. A local run bypasses
+	// every sweep tier: it sweeps afresh and neither reads nor fills the
+	// session's store or in-memory sweep cache. A fleet run bypasses only
+	// the coordinator's disk tier; its in-memory sweeps are still shared.
 	NoStore bool
 
 	// TargetEps, when positive, stops measuring units once the CPI
@@ -162,7 +165,7 @@ func Machine(cfg Config) RequestOption { return func(r *Request) { r.Config = cf
 // per core).
 func Workers(n int) RequestOption { return func(r *Request) { r.Workers = n } }
 
-// NoStore bypasses the session's checkpoint store for this run.
+// NoStore bypasses sweep reuse for this run; see Request.NoStore.
 func NoStore() RequestOption { return func(r *Request) { r.NoStore = true } }
 
 // EarlyStop stops measuring once the CPI confidence interval is within

@@ -20,34 +20,27 @@ import (
 )
 
 // Session is the long-lived service object behind Session.Run: it owns
-// the checkpoint store, caches generated workloads and experiment
-// state, supplies execution defaults, and deduplicates concurrent
-// sweeps. All methods are safe for concurrent use.
+// the sweep cache, caches generated workloads and experiment state,
+// supplies execution defaults, and deduplicates concurrent sweeps. All
+// methods are safe for concurrent use.
 type Session struct {
 	set settings
 
-	store *checkpoint.Store
-	// sweeps is the in-memory sweep cache of storeless sessions: the
-	// singleflight's leader parks its captured launch states here so
-	// waiters (and later requests) reuse them without a disk store.
-	// Nil when a store is attached — the store already shares sweeps.
-	sweeps *checkpoint.MemCache
+	// sweeps shares completed sweeps across the session's runs: the
+	// on-disk store alone when one is attached, else an in-memory tier
+	// where the singleflight's leader parks its captured launch states
+	// for waiters (and later requests).
+	sweeps *checkpoint.SweepCache
+	progs  program.Cache
 
-	mu          sync.Mutex
-	closed      bool
-	progs       map[progKey]*program.Program
-	progFlights map[progKey]*flight
-	exps        map[string]*experiments.Context
-	flights     map[string]*flight
-}
-
-type progKey struct {
-	name   string
-	length uint64
+	mu      sync.Mutex
+	closed  bool
+	exps    map[string]*experiments.Context
+	flights map[string]*flight
 }
 
 // flight is one in-progress sweep generation for a store key; waiters
-// block on done, then find the committed entry in the store.
+// block on done, then find the committed entry in the sweep cache.
 type flight struct {
 	done chan struct{}
 }
@@ -98,12 +91,10 @@ func WithStoreLimit(maxBytes int64) Option {
 	}
 }
 
-// WithMemCacheBytes caps the storeless session's in-memory sweep cache
-// at maxBytes of snapshot payload; least-recently-used sweeps are
-// evicted on insert (the sweep just captured is never evicted, so the
-// run that paid for it always reuses it). 0 — the default — leaves the
-// cache unbounded, the pre-existing behavior. Sessions with an on-disk
-// store ignore it (the store has its own cap, WithStoreLimit).
+// WithMemCacheBytes caps a storeless session's in-memory sweep cache at
+// maxBytes of snapshot payload, evicting least-recently-used sweeps but
+// never the one just captured; 0 (the default) leaves it unbounded.
+// Store-backed sessions hold no sweeps in memory and ignore it.
 func WithMemCacheBytes(maxBytes int64) Option {
 	return func(s *settings) error {
 		if maxBytes < 0 {
@@ -247,11 +238,9 @@ func Open(opts ...Option) (*Session, error) {
 		}
 	}
 	s := &Session{
-		set:         set,
-		progs:       make(map[progKey]*program.Program),
-		progFlights: make(map[progKey]*flight),
-		exps:        make(map[string]*experiments.Context),
-		flights:     make(map[string]*flight),
+		set:     set,
+		exps:    make(map[string]*experiments.Context),
+		flights: make(map[string]*flight),
 	}
 	if set.storeDir != "" {
 		store, err := checkpoint.OpenStore(set.storeDir)
@@ -260,13 +249,12 @@ func Open(opts ...Option) (*Session, error) {
 		}
 		store.MaxBytes = set.storeMax
 		store.Logf = set.logf
-		s.store = store
+		s.sweeps = checkpoint.DiskCache(store)
 	} else {
 		// Storeless sessions still deduplicate and reuse sweeps — in
 		// memory, for the session's lifetime (bounded when the session
 		// asks for it).
-		s.sweeps = checkpoint.NewMemCache()
-		s.sweeps.MaxBytes = set.memCacheMax
+		s.sweeps = checkpoint.NewSweepCache(set.memCacheMax, nil)
 	}
 	return s, nil
 }
@@ -283,31 +271,27 @@ func (s *Session) Close() error {
 // StoreStats returns the checkpoint store's lifetime hit/miss counts;
 // ok is false when the session has no store.
 func (s *Session) StoreStats() (hits, misses uint64, ok bool) {
-	if s.store == nil {
-		return 0, 0, false
+	if store := s.sweeps.Store(); store != nil {
+		hits, misses = store.Stats()
+		return hits, misses, true
 	}
-	hits, misses = s.store.Stats()
-	return hits, misses, true
+	return 0, 0, false
 }
 
 // StoreDir returns the checkpoint store directory ("" without a store).
 func (s *Session) StoreDir() string {
-	if s.store == nil {
-		return ""
+	if store := s.sweeps.Store(); store != nil {
+		return store.Dir()
 	}
-	return s.store.Dir()
+	return ""
 }
 
 // SweepCacheStats returns the in-memory sweep cache's lifetime
-// hit/miss/eviction counts (evictions stay zero unless the cache is
-// bounded with WithMemCacheBytes); ok is false when the session runs
-// with an on-disk store (which shares sweeps instead — see StoreStats).
+// hit/miss/eviction counts (evictions need WithMemCacheBytes); ok is
+// false for a store-backed session, which holds no sweeps in memory.
 func (s *Session) SweepCacheStats() (hits, misses, evictions uint64, ok bool) {
-	if s.sweeps == nil {
-		return 0, 0, 0, false
-	}
-	hits, misses, evictions = s.sweeps.Stats()
-	return hits, misses, evictions, true
+	hits, misses, evictions, _, ok = s.sweeps.MemStats()
+	return
 }
 
 // Workload returns the generated workload for (name, length), building
@@ -318,40 +302,7 @@ func (s *Session) Workload(name string, length uint64) (*Workload, error) {
 	if length == 0 {
 		length = s.set.defLength
 	}
-	key := progKey{name, length}
-	for {
-		s.mu.Lock()
-		if p, ok := s.progs[key]; ok {
-			s.mu.Unlock()
-			return p, nil
-		}
-		if f, ok := s.progFlights[key]; ok {
-			s.mu.Unlock()
-			<-f.done
-			continue // the generator finished (or failed); re-check
-		}
-		f := &flight{done: make(chan struct{})}
-		s.progFlights[key] = f
-		s.mu.Unlock()
-
-		p, err := generateWorkload(name, length)
-		s.mu.Lock()
-		if err == nil {
-			s.progs[key] = p
-		}
-		delete(s.progFlights, key)
-		s.mu.Unlock()
-		close(f.done)
-		return p, err
-	}
-}
-
-func generateWorkload(name string, length uint64) (*program.Program, error) {
-	spec, err := program.ByName(name)
-	if err != nil {
-		return nil, err
-	}
-	return program.Generate(spec, length)
+	return s.progs.Get(name, length)
 }
 
 // Reference runs (uncached) the full-stream detailed simulation of the
@@ -367,7 +318,7 @@ func (s *Session) Reference(ctx context.Context, workload string, length, chunk 
 	if err != nil {
 		return nil, err
 	}
-	return smarts.FullRun(p, s.config(cfg), chunk)
+	return smarts.FullRun(p, resolveConfig(cfg), chunk)
 }
 
 // ExperimentNames lists the runnable experiment ids.
@@ -431,7 +382,7 @@ func (s *Session) Run(ctx context.Context, req *Request) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg := s.config(req.Config)
+	cfg := resolveConfig(req.Config)
 	sink := newProgressSink(s.set.progress, req.Progress)
 	alpha := req.Alpha
 	if alpha == 0 {
@@ -478,16 +429,6 @@ func (s *Session) runnable(ctx context.Context) error {
 	return nil
 }
 
-// config resolves the effective machine configuration: only a fully
-// zero Config selects the 8-way baseline; a custom literal (even one
-// without a Name) is used as given and validated by the run.
-func (s *Session) config(cfg Config) Config {
-	if cfg == (Config{}) {
-		return uarch.Config8Way()
-	}
-	return cfg
-}
-
 // workers resolves the effective worker count for a request.
 func (s *Session) workers(req *Request) int {
 	n := req.Workers
@@ -521,7 +462,9 @@ func ResolvePlan(req *Request, prog *Workload) Plan {
 	return resolvePlan(req, prog, resolveConfig(req.Config), DefaultUnits)
 }
 
-// resolveConfig is the package-level form of Session.config.
+// resolveConfig resolves the effective machine configuration: only a
+// fully zero Config selects the 8-way baseline; a custom literal (even
+// one without a Name) is used as given and validated by the run.
 func resolveConfig(cfg Config) Config {
 	if cfg == (Config{}) {
 		return uarch.Config8Way()
@@ -588,7 +531,6 @@ func (s *Session) engineOptions(req *Request, sink *progressSink, stage string, 
 		ResumeInterval:   s.set.resumeInt,
 	}}
 	if !req.NoStore {
-		opt.Store = s.store
 		opt.Cache = s.sweeps
 	}
 	if sink != nil {
@@ -645,14 +587,12 @@ func (s *Session) runPlan(ctx context.Context, req *Request, prog *program.Progr
 
 // dedupSweeps reports whether a plan's sweep is worth deduplicating
 // across concurrent requests. That needs a sweep (a checkpointed plan)
-// that a store or cache can share, and one that is committable:
-// early-terminated sweeps are incomplete and never persisted, so
+// that the sweep cache can share, and one that is committable:
+// early-terminated sweeps are incomplete and never committed, so
 // deduplicating them would only serialize the contenders behind leaders
-// that can never produce a reusable entry. It works for storeless
-// sessions too — the leader parks the captured set in the session's
-// in-memory sweep cache.
+// that can never produce a reusable entry.
 func dedupSweeps(req *Request, plan Plan, opt smarts.EngineOptions) bool {
-	return plan.Checkpointed() && (opt.Store != nil || opt.Cache != nil) && req.TargetEps <= 0
+	return plan.Checkpointed() && opt.Cache != nil && req.TargetEps <= 0
 }
 
 func (s *Session) effAlpha(req *Request) float64 {
@@ -809,7 +749,7 @@ func (s *Session) runExperiment(ctx context.Context, req *Request) (*Report, err
 	if err != nil {
 		return nil, err
 	}
-	cfg := s.config(req.Config)
+	cfg := resolveConfig(req.Config)
 	var buf bytes.Buffer
 	out := io.Writer(&buf)
 	if req.Output != nil {
@@ -830,7 +770,7 @@ func (s *Session) expContext(scale string, req *Request) (*experiments.Context, 
 	if err != nil {
 		return nil, err
 	}
-	useStore := !req.NoStore && s.store != nil
+	useStore := !req.NoStore && s.sweeps.Store() != nil
 	// The cache key carries the store setting baked into the context,
 	// so a NoStore request never inherits a store-attached context (or
 	// vice versa). Worker counts are deliberately NOT in the key:
@@ -846,34 +786,20 @@ func (s *Session) expContext(scale string, req *Request) (*experiments.Context, 
 	ec := experiments.NewContext(sc)
 	ec.Parallelism = s.workers(req)
 	if useStore {
-		ec.Ckpt = s.store
+		ec.Ckpt = s.sweeps
 	}
 	s.exps[key] = ec
 	return ec, nil
 }
 
-// sweepAvailable reports whether a committed sweep for key is reusable
-// — from the on-disk store or the in-memory cache, whichever the
-// session runs with.
-func (s *Session) sweepAvailable(key checkpoint.Key) bool {
-	if s.store != nil && s.store.Contains(key) {
-		return true
-	}
-	if s.sweeps != nil && s.sweeps.Contains(key) {
-		return true
-	}
-	return false
-}
-
 // singleflightDo deduplicates concurrent sweep generation for one store
 // key: the first request becomes the leader and runs fn (sweeping and
-// committing the entry — to the on-disk store, or to the in-memory
-// sweep cache on storeless sessions); concurrent requests for the same
-// key wait for the leader, then run fn themselves against the
-// now-committed entry (a hit — no second sweep). If the leader failed
-// or was cancelled before committing, each waiter retries leadership in
-// turn, so one bad run never poisons the key. The result may be a
-// single run or a per-offset slice.
+// committing the entry to the session's sweep cache); concurrent
+// requests for the same key wait for the leader, then run fn themselves
+// against the now-committed entry (a hit — no second sweep). If the
+// leader failed or was cancelled before committing, each waiter retries
+// leadership in turn, so one bad run never poisons the key. The result
+// may be a single run or a per-offset slice.
 func singleflightDo[T any](ctx context.Context, s *Session, key checkpoint.Key, fn func() (T, error)) (T, error) {
 	hash := key.Hash()
 	for {
@@ -899,7 +825,7 @@ func singleflightDo[T any](ctx context.Context, s *Session, key checkpoint.Key, 
 			var zero T
 			return zero, ctx.Err()
 		}
-		if s.sweepAvailable(key) {
+		if s.sweeps.Contains(key) {
 			// The leader committed; run against the entry (a hit).
 			return fn()
 		}
