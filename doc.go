@@ -115,13 +115,15 @@
 // feature: parallelism and Resume are mutually exclusive by
 // validation.
 //
-// Sweeps are also crash-safe: with a store attached, an in-progress
-// sweep journals its position every few keyframes as a *.partial
-// record (invisible to the committed index), and a rerun of the same
-// request resumes from the journal's last keyframe instead of
-// resweeping (sim.WithResumeInterval, the CLIs' -resume-interval). The
-// resumed unit stream is bit-identical to an uninterrupted sweep, and
-// a corrupt journal degrades to a cold sweep — never a wrong result.
+// Sweeps are also crash-safe: with a store attached, the entry an
+// in-progress sweep stages is its journal — sealed under a resume frame
+// every few keyframes and published as a *.partial file (invisible to
+// the committed index) that becomes the *.ckpt entry when the sweep
+// completes — and a rerun of the same request resumes from the
+// journal's last frame instead of resweeping (sim.WithResumeInterval,
+// the CLIs' -resume-interval). The resumed unit stream is bit-identical
+// to an uninterrupted sweep, and a corrupt journal degrades to a cold
+// sweep — never a wrong result.
 //
 // # Distributed sampling
 //

@@ -29,7 +29,7 @@ const (
 	recUnit   = 2 // one captured unit
 	recEnd    = 3 // terminator carrying the sweep totals
 	recKeyIdx = 4 // keyframe index: ordinals of keyframe units
-	recFrame  = 5 // resume frame sealing a partial-sweep journal prefix (resume.go)
+	recFrame  = 5 // resume frame sealing the prefix before it (resume.go)
 )
 
 // Warm-state encodings inside a unit record.

@@ -14,44 +14,37 @@ import (
 )
 
 // fuzzWire captures a small real sweep once and returns its key, its
-// EncodeSet bytes, and its EncodePartial bytes — the valid corpus the
-// fuzzers mutate. Decoders must never panic: any corruption degrades
-// to an error (full sets) or to the longest valid-frame prefix
-// (partials).
-func fuzzWire(f *testing.F) (checkpoint.Key, []byte, []byte) {
+// EncodeSet bytes, the frame-bearing entry a journaled sweep commits,
+// and that entry cut at its last frame — a journal. This is the valid
+// corpus the fuzzers mutate. Decoders must never panic: any corruption
+// degrades to an error (full sets) or to the longest valid-frame
+// prefix (journals).
+func fuzzWire(f *testing.F) (key checkpoint.Key, wire, framed, partial []byte) {
 	f.Helper()
 	p := genProg(f, "gccx", 120_000)
 	cfg := uarch.Config8Way()
 	params := checkpoint.Params{U: 1000, W: 1000, K: 20, FunctionalWarm: true}
 	set := capture(f, p, cfg, params)
-	key := checkpoint.KeyFor(p, cfg, params)
+	key = checkpoint.KeyFor(p, cfg, params)
 
-	var wire bytes.Buffer
-	if err := checkpoint.EncodeSet(&wire, key, set); err != nil {
+	var buf bytes.Buffer
+	if err := checkpoint.EncodeSet(&buf, key, set); err != nil {
 		f.Fatal(err)
 	}
-	last := set.Units[len(set.Units)-1]
-	rs := &checkpoint.ResumeState{
-		Units:           set.Units,
-		PopulationUnits: set.PopulationUnits,
-		SweepInsts:      last.Arch.Count,
-		SweepTime:       set.SweepTime,
-	}
-	var partial bytes.Buffer
-	if err := checkpoint.EncodePartial(&partial, key, rs); err != nil {
-		f.Fatal(err)
-	}
-	return key, wire.Bytes(), partial.Bytes()
+	params.Keyframe = 2 // several frames over the sweep's few units
+	framed, bounds := journaledEntry(f, p, cfg, params, key)
+	return key, buf.Bytes(), framed, framed[:bounds[len(bounds)-1].at]
 }
 
 // FuzzDecodeSet feeds mutated set streams to DecodeSet: it must never
 // panic, and must return either an error or a structurally sound Set.
 func FuzzDecodeSet(f *testing.F) {
-	key, wire, partial := fuzzWire(f)
+	key, wire, framed, partial := fuzzWire(f)
 	f.Add(wire)
 	f.Add(wire[:len(wire)/2])
 	f.Add(wire[:16])
-	f.Add(partial) // a partial stream is not a valid full set
+	f.Add(framed)
+	f.Add(partial) // a journal is not a complete set
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		set, err := checkpoint.DecodeSet(bytes.NewReader(data), key)
@@ -74,11 +67,12 @@ func FuzzDecodeSet(f *testing.F) {
 // an error or to a consistent valid-frame prefix (Units matching the
 // frame's captured count).
 func FuzzDecodePartial(f *testing.F) {
-	key, wire, partial := fuzzWire(f)
+	key, wire, framed, partial := fuzzWire(f)
 	f.Add(partial)
 	f.Add(partial[:len(partial)/2])
 	f.Add(partial[:16])
-	f.Add(wire) // a full set stream has no frame to resume from
+	f.Add(framed)
+	f.Add(wire) // a frame-free set stream has no frame to resume from
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rs, err := checkpoint.DecodePartial(bytes.NewReader(data), key)

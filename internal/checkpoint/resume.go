@@ -1,40 +1,42 @@
 package checkpoint
 
-// Resumable sweeps: the partial-sweep record and the resume path.
+// Resumable sweeps: the crash-safe journal and the resume path.
 //
-// A functional sweep is the one serial, unsharded cost of a sampled
-// run, and before this file it was all-or-nothing: a cancelled run, an
-// expired sweep lease, or a killed process threw the whole sweep away.
-// CaptureStream therefore journals its progress as a *partial sweep
-// record* — the store's format-v4 byte stream (header, manifest, page
-// and unit records) interleaved with Frame records (recFrame) that pin
-// the exact sweep state after a captured unit: the captured-unit count,
-// the stream position, the accumulated sweep time, and the warmer's
-// fetch-dedup block. Everything else a resume needs is already in the
-// last captured unit: capturing a unit snapshots (or delta-snapshots)
-// memory and warm state and resets both dirty journals, so the unit's
-// materialization IS the sweep state at its launch point.
+// A functional sweep is the one serial, unsharded cost of a sampled run,
+// and a cancelled run, an expired sweep lease, or a killed process must
+// not throw it away. The sweep's journal is the store entry it is
+// writing: one format-v4 byte stream (header, manifest, page and unit
+// records) into which SetWriter interleaves Frame records (recFrame)
+// that pin the exact sweep state after a captured unit — the
+// captured-unit count, the stream position, the accumulated sweep time,
+// and the warmer's fetch-dedup block — each sealed by a checksum over
+// the whole prefix before it. Everything else a resume needs is already
+// in the last captured unit: capturing a unit snapshots (or
+// delta-snapshots) memory and warm state and resets both dirty journals,
+// so the unit's materialization IS the sweep state at its launch point.
 //
-// Store.PartialWriter stages the journal next to the committed entries
-// (<hash>.partial): records stream into a temp file and the first
-// Checkpoint atomically renames it into place, so a crash at any byte
-// leaves either no journal or one whose valid-frame prefix is intact.
-// Later Checkpoints append in place and re-flush; readers accept the
-// longest prefix ending in a frame that is consistent with the decoded
-// units, so truncation or bit corruption degrades to an earlier frame
-// or a cold start — never to a wrong resume (the same discipline the
-// committed-entry reader applies, swept by the corruption suite).
+// A store writer publishes the staged stream as <hash>.partial at its
+// first frame and flushes it at every later one, so a crash at any byte
+// leaves a journal whose valid-frame prefix is intact; Commit appends
+// the end record and installs the same file as <hash>.ckpt. The fleet's
+// sweep owner writes the same stream into memory and uploads each
+// journaled prefix, then the sealed whole. One scanner (scanRecords)
+// reads them all: a reader of entries wants the end record, a reader of
+// journals the longest prefix ending in a frame consistent with the
+// units before it, so truncation or bit corruption degrades to an
+// earlier frame or a cold start — never to a wrong resume.
 //
-// Resume(store, key) reconstructs a ResumeState from the journal, and
-// CaptureStream (Params.Resume) continues from it: it replays the
-// boundary generator over the journaled units (validating each against
-// the plan), rebuilds the sweep CPU from the last unit's arch state and
+// CaptureResumable is the one resume loop: it continues CaptureStream
+// from a loaded journal (Params.Resume), which replays the boundary
+// generator over the journaled units (validating each against the plan),
+// rebuilds the sweep CPU from the last unit's arch state and
 // materialized memory, restores the warmed structures, and carries on
 // fast-forward + capture from the journaled instruction count. The
-// continued unit stream is bit-identical to the tail of an
-// uninterrupted sweep.
+// continued unit stream is bit-identical to the tail of an uninterrupted
+// sweep.
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"os"
@@ -42,7 +44,6 @@ import (
 	"time"
 
 	"repro/internal/functional"
-	"repro/internal/mem"
 	"repro/internal/program"
 	"repro/internal/uarch"
 )
@@ -55,8 +56,8 @@ const partialExt = ".partial"
 // ResumeFrame is the sweep-side state pinned immediately after one
 // captured unit: together with the units captured so far it is
 // everything a resumed CaptureStream needs to continue bit-identically.
-// Params.OnFrame observes one per captured unit; PartialWriter.
-// Checkpoint persists the frames a journal commits.
+// Params.OnFrame observes one per captured unit; SetWriter.Frame
+// journals them at its cadence.
 type ResumeFrame struct {
 	// Captured is the number of units captured up to and including this
 	// frame's unit.
@@ -75,10 +76,10 @@ type ResumeFrame struct {
 }
 
 // ResumeState is a reconstructed partial sweep: the journaled units
-// plus the frame they were journaled at. Feed it to CaptureStream via
-// Params.Resume; the already-captured units are not re-emitted, so the
-// consumer must account for them itself (the engine feeds them straight
-// into its replay pipeline).
+// plus the frame they were journaled at. Feed it to CaptureResumable
+// via Params.Resume, which emits the journaled units first. (Given to
+// CaptureStream itself, the already-captured units are not re-emitted,
+// and the consumer must account for them.)
 type ResumeState struct {
 	// Units holds the journaled units in capture order, delta chains
 	// intact.
@@ -131,22 +132,15 @@ func resumeSweep(prog *program.Program, machine *uarch.Machine, warmer *uarch.Wa
 	return functional.NewAt(prog, last.Arch, launch.Mem.NewMemory()), nil
 }
 
-// Resume loads the partial-sweep journal stored under k and
-// reconstructs the sweep state to continue from, or nil when the store
-// holds no usable journal (absent or corrupt — corruption degrades to
-// the journal's last valid frame before giving up entirely, and is
-// logged, never an error). Pass the result to CaptureStream via
-// Params.Resume.
-func Resume(s *Store, k Key) (*ResumeState, error) {
-	return s.LoadPartial(k)
-}
-
 func (s *Store) partialPath(k Key) string {
 	return filepath.Join(s.dir, k.Hash()+partialExt)
 }
 
-// LoadPartial returns the partial sweep journaled under k, or nil when
-// no usable journal exists. See Resume.
+// LoadPartial returns the partial sweep journaled under k to continue
+// from (pass it to CaptureResumable via Params.Resume), or nil when the
+// store holds no usable journal: absent or corrupt — corruption degrades
+// to the journal's last valid frame before giving up entirely, and is
+// logged, never an error.
 //
 //simlint:noctx bounded single-file metadata read; no long blocking
 func (s *Store) LoadPartial(k Key) (*ResumeState, error) {
@@ -170,184 +164,53 @@ func (s *Store) LoadPartial(k Key) (*ResumeState, error) {
 }
 
 // DropPartial removes k's partial-sweep journal, if any — called once
-// the completed sweep commits and the journal has nothing left to add.
+// the completed sweep arrived and the journal has nothing left to add.
 func (s *Store) DropPartial(k Key) {
 	os.Remove(s.partialPath(k))
 }
 
-// SavePartial atomically installs rs as k's partial-sweep journal,
-// replacing any previous journal. It is the whole-state counterpart of
-// PartialWriter — used when a ready-made ResumeState arrives (the
-// distributed coordinator receiving a worker's journal upload) rather
-// than streaming out of a live sweep.
+// ReadPartial returns the bytes of k's journal file as they are, or nil
+// when there is none. The caller validates them (DecodePartial).
+//
+//simlint:noctx bounded single-file read; no long blocking
+func (s *Store) ReadPartial(k Key) ([]byte, error) {
+	data, err := os.ReadFile(s.partialPath(k))
+	if os.IsNotExist(err) {
+		return nil, nil
+	}
+	if err != nil {
+		return nil, fmt.Errorf("checkpoint: read partial: %w", err)
+	}
+	return data, nil
+}
+
+// WritePartial atomically installs journal — bytes a SetWriter
+// published, such as a fleet sweep owner's upload — as k's journal,
+// replacing any previous one.
 //
 //simlint:noctx bounded single-file atomic install; no long blocking
-func (s *Store) SavePartial(k Key, rs *ResumeState) error {
+func (s *Store) WritePartial(k Key, journal []byte) error {
 	tmp, err := os.CreateTemp(s.dir, k.Hash()+".tmp-*")
 	if err != nil {
-		return fmt.Errorf("checkpoint: save partial: %w", err)
+		return fmt.Errorf("checkpoint: write partial: %w", err)
 	}
-	defer func() {
-		if tmp != nil {
-			name := tmp.Name()
-			tmp.Close()
-			os.Remove(name)
-		}
-	}()
-	if err := EncodePartial(tmp, k, rs); err != nil {
-		return err
+	_, err = tmp.Write(journal)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("checkpoint: save partial: %w", err)
+	if err == nil {
+		err = os.Rename(tmp.Name(), s.partialPath(k))
 	}
-	name := tmp.Name()
-	tmp = nil
-	if err := os.Rename(name, s.partialPath(k)); err != nil {
-		os.Remove(name)
-		return fmt.Errorf("checkpoint: save partial: %w", err)
+	if err != nil {
+		os.Remove(tmp.Name())
+		return fmt.Errorf("checkpoint: write partial: %w", err)
 	}
 	return nil
-}
-
-// PartialWriter streams a sweep's units into a crash-safe journal
-// alongside the committed store entries. Add appends each unit as it is
-// captured (the same delta-or-keyframe records SetWriter writes);
-// Checkpoint seals the records so far under a frame and makes the
-// journal durable — the first Checkpoint atomically renames the staged
-// temp file into place, later ones append and flush. A journal with no
-// Checkpoint is never installed. Close keeps the installed journal for
-// a future resume; Discard removes everything the writer created.
-type PartialWriter struct {
-	store     *Store
-	key       Key
-	f         *os.File
-	enc       *setEncoder
-	installed bool
-	err       error
-}
-
-// PartialWriter stages a partial-sweep journal for k. pop is the
-// workload's population size in units.
-//
-//simlint:noctx opens a staging temp file; writes stream under the caller's ctx
-func (s *Store) PartialWriter(k Key, pop uint64) (*PartialWriter, error) {
-	tmp, err := os.CreateTemp(s.dir, k.Hash()+".tmp-*")
-	if err != nil {
-		return nil, fmt.Errorf("checkpoint: partial writer: %w", err)
-	}
-	w := &PartialWriter{store: s, key: k, f: tmp}
-	enc, err := newSetEncoder(tmp, k, pop)
-	if err != nil {
-		w.fail(err)
-		return nil, w.err
-	}
-	w.enc = enc
-	return w, nil
-}
-
-func (w *PartialWriter) fail(err error) {
-	if w.err == nil {
-		w.err = err
-	}
-	w.cleanup()
-}
-
-// cleanup closes the file and removes whatever path it lives at.
-func (w *PartialWriter) cleanup() {
-	if w.f == nil {
-		return
-	}
-	name := w.f.Name()
-	if w.installed {
-		name = w.store.partialPath(w.key)
-	}
-	w.f.Close()
-	os.Remove(name)
-	w.f = nil
-}
-
-// Add appends one unit's records. Errors are sticky.
-func (w *PartialWriter) Add(u *Unit) error {
-	if w.err != nil {
-		return w.err
-	}
-	if err := w.enc.add(u); err != nil {
-		w.fail(err)
-	}
-	return w.err
-}
-
-// Checkpoint commits the journal through fr: every record written so
-// far plus the frame is flushed, and on the first call the journal is
-// atomically installed under the key's partial path. fr must describe
-// exactly the units added so far.
-func (w *PartialWriter) Checkpoint(fr ResumeFrame) error {
-	if w.err != nil {
-		return w.err
-	}
-	if fr.Captured != w.enc.units {
-		w.fail(fmt.Errorf("checkpoint: partial frame at %d units, %d written", fr.Captured, w.enc.units))
-		return w.err
-	}
-	if err := w.enc.frame(fr); err != nil {
-		w.fail(err)
-		return w.err
-	}
-	if err := w.enc.cw.w.Flush(); err != nil {
-		w.fail(err)
-		return w.err
-	}
-	if !w.installed {
-		if err := os.Rename(w.f.Name(), w.store.partialPath(w.key)); err != nil {
-			w.fail(err)
-			return w.err
-		}
-		w.installed = true
-	}
-	return nil
-}
-
-// Close flushes and closes the journal, keeping it on disk when at
-// least one Checkpoint installed it (a journal with no frames is
-// removed — there is nothing to resume from).
-func (w *PartialWriter) Close() error {
-	if w.f == nil {
-		return w.err
-	}
-	if !w.installed {
-		w.cleanup()
-		return w.err
-	}
-	ferr := w.enc.cw.w.Flush()
-	cerr := w.f.Close()
-	w.f = nil
-	if w.err == nil {
-		if ferr != nil {
-			w.err = ferr
-		} else if cerr != nil {
-			w.err = cerr
-		}
-	}
-	if w.err == nil {
-		w.store.Log("checkpoint store: journaled partial %s (%s: %d units)",
-			w.key.Hash(), w.key.Workload, w.enc.units)
-	}
-	return w.err
-}
-
-// Discard removes the journal — staged or installed — because the
-// completed sweep made it redundant (or the caller is abandoning it).
-func (w *PartialWriter) Discard() {
-	w.cleanup()
-	w.store.DropPartial(w.key)
-	if w.err == nil {
-		w.err = fmt.Errorf("checkpoint: partial journal discarded")
-	}
 }
 
 // frame appends one recFrame record sealing the units written so far:
 // the resume frame's scalars plus the keyframe ordinals accumulated to
-// this point — the same index the committed entry's recKeyIdx carries,
+// this point — the same index the end record's recKeyIdx carries,
 // validated by the reader against the units it actually decoded.
 func (e *setEncoder) frame(fr ResumeFrame) error {
 	have := uint64(0)
@@ -363,46 +226,18 @@ func (e *setEncoder) frame(fr ResumeFrame) error {
 	if err := e.cw.u64s(e.keyframes); err != nil {
 		return err
 	}
-	// Seal the cumulative journal prefix under this frame. Each frame's
-	// checksum covers every byte since the manifest — including earlier
-	// frames and their checksums, which folded into the running sum as
-	// ordinary u64 fields — so a reader verifying frame n has verified
-	// the whole prefix it would resume from.
+	e.frames++
+	// Seal the cumulative prefix under this frame. Each frame's checksum
+	// covers every byte since the manifest — including earlier frames and
+	// their checksums, which folded into the running sum as ordinary u64
+	// fields — so a reader verifying frame n has verified the whole
+	// prefix it would resume from.
 	return e.cw.u64(uint64(e.cw.sum()))
 }
 
-// EncodePartial writes rs, keyed by k, as one partial-sweep byte stream
-// — the journal format with a single frame at the end. It is the wire
-// form the distributed service hands partial sweeps across workers
-// with, exactly as EncodeSet is for completed sweeps.
-func EncodePartial(w io.Writer, k Key, rs *ResumeState) error {
-	enc, err := newSetEncoder(w, k, rs.PopulationUnits)
-	if err != nil {
-		return fmt.Errorf("checkpoint: encode partial: %w", err)
-	}
-	for _, u := range rs.Units {
-		if err := enc.add(u); err != nil {
-			return fmt.Errorf("checkpoint: encode partial: %w", err)
-		}
-	}
-	fr := ResumeFrame{
-		Captured:   len(rs.Units),
-		SweepInsts: rs.SweepInsts,
-		SweepTime:  rs.SweepTime,
-		HaveIBlock: rs.HaveIBlock,
-		LastIBlock: rs.LastIBlock,
-	}
-	if err := enc.frame(fr); err != nil {
-		return fmt.Errorf("checkpoint: encode partial: %w", err)
-	}
-	if err := enc.cw.w.Flush(); err != nil {
-		return fmt.Errorf("checkpoint: encode partial: %w", err)
-	}
-	return nil
-}
-
-// DecodePartial reads one EncodePartial (or journal-file) byte stream
-// and reconstructs the ResumeState, guarded by the expected key like
+// DecodePartial reads a journal byte stream — a SetWriter's published
+// prefix or a whole frame-bearing entry — and reconstructs the
+// ResumeState at its last valid frame, guarded by the expected key like
 // DecodeSet. Corruption degrades to the longest valid-frame prefix; a
 // stream with no valid frame is an error.
 func DecodePartial(r io.Reader, k Key) (*ResumeState, error) {
@@ -413,94 +248,96 @@ func DecodePartial(r io.Reader, k Key) (*ResumeState, error) {
 	return rs, nil
 }
 
-// readPartial scans a partial-sweep byte stream and returns the state
-// at the last frame consistent with the records before it. Unlike
-// readSet — where any defect fails the whole entry — a defect here
-// (truncation mid-record, a frame disagreeing with the decoded units,
-// an unknown tag) only ends the scan: the journal is by construction a
-// prefix of a crashed write, so everything before the last good frame
-// is still a correct, older resume point.
+// readPartial scans a journal and returns the state at its last valid
+// frame. Unlike an entry — where any defect fails the whole stream — a
+// defect here (truncation mid-record, a frame disagreeing with the
+// decoded units, an unknown tag) only ends the scan: the journal is by
+// construction a prefix of a crashed write, so everything before the
+// last good frame is still a correct, older resume point.
 func readPartial(r io.Reader, k Key) (*ResumeState, error) {
 	cr, man, err := readKeyedHeader(r, k)
 	if err != nil {
 		return nil, err
 	}
+	if _, last, _ := scanRecords(cr, man); last != nil { //simlint:discard a journal keeps its last valid frame whatever ended the scan
+		return last, nil
+	}
+	return nil, fmt.Errorf("no usable frame")
+}
 
-	var (
-		pages     []*[mem.PageSize]byte
-		units     []*Unit
-		prev      *Unit
-		geom      warmGeom
-		keyframes []uint64
-		good      *ResumeState
-	)
-scan:
-	for {
-		tag, err := cr.u64()
-		if err != nil {
-			break // truncated at a record boundary: keep the last frame
+// Journal is where CaptureResumable writes a sweep: a *SetWriter (a
+// store entry or an in-memory buffer) or a *SweepWriter (a sweep
+// cache's tiers). Add takes each unit, Frame each resume frame; errors
+// are the writer's to keep, and the sweep goes on without them.
+type Journal interface {
+	Add(*Unit) error
+	Frame(ResumeFrame) error
+}
+
+// frame returns the resume frame the journal was cut at.
+func (rs *ResumeState) frame() ResumeFrame {
+	return ResumeFrame{Captured: len(rs.Units), SweepInsts: rs.SweepInsts, SweepTime: rs.SweepTime,
+		HaveIBlock: rs.HaveIBlock, LastIBlock: rs.LastIBlock}
+}
+
+// CaptureResumable is CaptureStream made resumable and journaled, the
+// one resume loop of the engine and the fleet sweep owner. p.Resume,
+// when set, is the journal to continue (Store.LoadPartial,
+// DecodePartial): once CaptureStream has validated it, its units are
+// emitted and added to j ahead of the first new unit, with their frame,
+// so j's first frame supersedes the journal it continues. A journal that
+// fails validation before anything was emitted is ignored and the sweep
+// runs cold. Each captured unit is emitted and then, when emit accepts
+// it, added to j; each frame goes to j (which journals it at its
+// cadence) and then to p.OnFrame. emit returning false stops the sweep
+// as in CaptureStream. The caller ends j: a complete summary is ready to
+// commit, anything else to suspend.
+func CaptureResumable(ctx context.Context, prog *program.Program, cfg uarch.Config, p Params, j Journal, emit func(*Unit) bool) (*Summary, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	rs := p.Resume
+	fed := rs == nil
+	feed := func() bool {
+		fed = true
+		for _, u := range rs.Units {
+			if ctx.Err() != nil || !emit(u) {
+				return false
+			}
+			j.Add(u)
 		}
-		switch tag {
-		case recPage:
-			page, err := cr.bytes()
-			if err != nil || len(page) != mem.PageSize {
-				break scan
-			}
-			pages = append(pages, (*[mem.PageSize]byte)(page))
-		case recUnit:
-			u, err := cr.unit(pages, prev, &geom)
-			if err != nil {
-				break scan
-			}
-			if u.Mem != nil {
-				keyframes = append(keyframes, uint64(len(units)))
-			}
-			prev = u
-			units = append(units, u)
-		case recFrame:
-			var vals [5]uint64
-			for i := range vals {
-				if vals[i], err = cr.u64(); err != nil {
-					break scan
-				}
-			}
-			keyIdx, err := cr.u64s()
-			if err != nil {
-				break scan
-			}
-			// Verify the frame's seal over the whole journal prefix; a
-			// mismatch means bit rot somewhere before this point, so
-			// nothing from here on is trustworthy.
-			expect := cr.sum()
-			stored, err := cr.u64()
-			if err != nil || uint32(stored) != expect {
-				break scan
-			}
-			// A frame must describe exactly the units decoded before it;
-			// anything else means records were lost or spliced — stop
-			// trusting the stream, keep the previous good frame.
-			if vals[0] != uint64(len(units)) || len(keyIdx) != len(keyframes) {
-				break scan
-			}
-			for i, ord := range keyIdx {
-				if ord != keyframes[i] {
-					break scan
-				}
-			}
-			good = &ResumeState{
-				Units:           append([]*Unit(nil), units...),
-				PopulationUnits: man.PopulationUnits,
-				SweepInsts:      vals[1],
-				SweepTime:       time.Duration(int64(vals[2])),
-				HaveIBlock:      vals[3] != 0,
-				LastIBlock:      vals[4],
-			}
-		default:
-			break scan
+		j.Frame(rs.frame())
+		return true
+	}
+	onFrame := p.OnFrame
+	p.OnFrame = func(fr ResumeFrame) {
+		j.Frame(fr)
+		if onFrame != nil {
+			onFrame(fr)
 		}
 	}
-	if good == nil || len(good.Units) == 0 {
-		return nil, fmt.Errorf("no usable frame")
+	capture := func(u *Unit) bool {
+		if !fed && !feed() {
+			return false
+		}
+		if !emit(u) {
+			return false
+		}
+		j.Add(u)
+		return true
 	}
-	return good, nil
+	sum, err := CaptureStream(ctx, prog, cfg, p, capture)
+	if err != nil && !fed && ctx.Err() == nil {
+		// The journal did not validate against this plan (corruption, a
+		// stale upload): degrade to a cold sweep rather than fail a run a
+		// cold sweep can still complete.
+		p.Resume, fed = nil, true
+		sum, err = CaptureStream(ctx, prog, cfg, p, capture)
+	}
+	if err == nil && sum.Complete && !fed && !feed() {
+		// The journal already covered every boundary, and the consumer
+		// stopped while taking its units.
+		sum.Complete = false
+	}
+	return sum, err
 }

@@ -12,52 +12,72 @@ import (
 	"repro/internal/uarch"
 )
 
-// journalSweep runs one CaptureStream journaling every captured unit
-// into a fresh partial writer for key, re-adding the units of rs (the
-// journal being resumed) first, exactly as the engine's sweep goroutine
-// does. stopAfter > 0 cuts the sweep (emit returns false) after that
-// many new units. A complete sweep discards the journal; an interrupted
-// one keeps it for the next round.
+// journalSweep runs one CaptureResumable into a store writer that
+// journals every frame, continuing rs when non-nil, exactly as the
+// engine's sweep goroutine does. stopAfter > 0 cuts the sweep (emit
+// returns false) at that many new units. A complete sweep commits the
+// entry; an interrupted one suspends, keeping the journal for the next
+// round. It returns every emitted unit, the journaled ones first.
 func journalSweep(t *testing.T, prog *program.Program, cfg uarch.Config, params checkpoint.Params,
 	store *checkpoint.Store, key checkpoint.Key, rs *checkpoint.ResumeState, stopAfter int,
 ) ([]*checkpoint.Unit, *checkpoint.Summary) {
 	t.Helper()
-	pw, err := store.PartialWriter(key, prog.Length/params.U)
+	w, err := store.Writer(key, prog.Length/params.U, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	params.Resume = rs
+	prior := 0
 	if rs != nil {
-		for _, u := range rs.Units {
-			if err := pw.Add(u); err != nil {
-				t.Fatal(err)
-			}
-		}
-		params.Resume = rs
-	}
-	params.OnFrame = func(fr checkpoint.ResumeFrame) {
-		if err := pw.Checkpoint(fr); err != nil {
-			t.Fatal(err)
-		}
+		prior = len(rs.Units)
 	}
 	var units []*checkpoint.Unit
-	sum, err := checkpoint.CaptureStream(context.Background(), prog, cfg, params, func(u *checkpoint.Unit) bool {
-		if err := pw.Add(u); err != nil {
-			t.Fatal(err)
-		}
+	sum, err := checkpoint.CaptureResumable(context.Background(), prog, cfg, params, w, func(u *checkpoint.Unit) bool {
 		units = append(units, u)
-		return stopAfter == 0 || len(units) < stopAfter
+		return stopAfter == 0 || len(units)-prior < stopAfter
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sum.Complete {
-		pw.Discard()
+		err = w.Commit(sum.SweepInsts, sum.SweepTime)
 	} else {
-		if err := pw.Close(); err != nil {
-			t.Fatal(err)
-		}
+		err = w.Suspend()
+	}
+	if err != nil {
+		t.Fatal(err)
 	}
 	return units, sum
+}
+
+// frameBound is where one frame of a journaled entry ends, and how many
+// units it seals.
+type frameBound struct{ at, units int }
+
+// journaledEntry writes a complete sweep the way a journaled sweep
+// commits it — through a buffer writer that journals every frame — and
+// returns the frame-bearing entry with the bound of every frame in it.
+func journaledEntry(t testing.TB, prog *program.Program, cfg uarch.Config, params checkpoint.Params, key checkpoint.Key) ([]byte, []frameBound) {
+	t.Helper()
+	var bounds []frameBound
+	emitted := 0
+	w := checkpoint.BufferWriter(key, prog.Length/params.U, 1, func(journal []byte) {
+		bounds = append(bounds, frameBound{len(journal), emitted})
+	})
+	sum, err := checkpoint.CaptureResumable(context.Background(), prog, cfg, params, w, func(*checkpoint.Unit) bool {
+		emitted++
+		return true
+	})
+	if err != nil || !sum.Complete {
+		t.Fatalf("journaled sweep: complete=%v err=%v", sum != nil && sum.Complete, err)
+	}
+	if err := w.Commit(sum.SweepInsts, sum.SweepTime); err != nil {
+		t.Fatal(err)
+	}
+	if len(bounds) < 2 {
+		t.Fatalf("journaled entry has %d frames, want several", len(bounds))
+	}
+	return w.Bytes(), bounds
 }
 
 // TestResumeMatchesUninterruptedSweep is the resume property test: a
@@ -102,14 +122,10 @@ func TestResumeMatchesUninterruptedSweep(t *testing.T) {
 					if remaining := len(want) - prior; remaining > 2 && rng.Intn(3) > 0 {
 						stop = 1 + rng.Intn(remaining-1)
 					}
-					units, sum := journalSweep(t, p, cfg, params, store, key, rs, stop)
+					combined, sum := journalSweep(t, p, cfg, params, store, key, rs, stop)
 
 					// Every round's journal+emission must be a prefix of the
 					// uninterrupted stream, bit for bit.
-					combined := units
-					if rs != nil {
-						combined = append(append([]*checkpoint.Unit(nil), rs.Units...), units...)
-					}
 					if len(combined) > len(want) {
 						t.Fatalf("round %d: %d units, uninterrupted sweep has %d", round, len(combined), len(want))
 					}
@@ -126,13 +142,17 @@ func TestResumeMatchesUninterruptedSweep(t *testing.T) {
 						if rs != nil && sum.ResumedAt != rs.SweepInsts {
 							t.Fatalf("ResumedAt %d, journal frame at %d", sum.ResumedAt, rs.SweepInsts)
 						}
-						// The journal is gone once the sweep completed.
+						// The journal is gone once the sweep completed, and the
+						// committed entry holds the whole sweep.
 						if left, err := store.LoadPartial(key); err != nil || left != nil {
 							t.Fatalf("journal survived completion (rs=%v err=%v)", left != nil, err)
 						}
+						if set, err := store.Load(key); err != nil || set == nil || len(set.Units) != len(want) {
+							t.Fatalf("committed entry after resume: set=%v err=%v", set != nil, err)
+						}
 						break
 					}
-					if rs, err = checkpoint.Resume(store, key); err != nil {
+					if rs, err = store.LoadPartial(key); err != nil {
 						t.Fatal(err)
 					}
 					if rs == nil {
@@ -157,7 +177,7 @@ func TestResumeRejectsInconsistentJournal(t *testing.T) {
 	}
 	key := checkpoint.KeyFor(p, cfg, params)
 	journalSweep(t, p, cfg, params, store, key, nil, 5)
-	rs, err := checkpoint.Resume(store, key)
+	rs, err := store.LoadPartial(key)
 	if err != nil || rs == nil {
 		t.Fatalf("no journal to corrupt (rs=%v err=%v)", rs != nil, err)
 	}
@@ -171,14 +191,16 @@ func TestResumeRejectsInconsistentJournal(t *testing.T) {
 }
 
 // TestPartialCorruptionDegrades sweeps truncation points and byte flips
-// across a multi-frame journal. Truncation — the crash shape the
-// journal exists for — must degrade to an earlier frame whose units are
-// bit-identical to the uninterrupted sweep's prefix, or to no journal
-// at all; never to a wrong resume. Byte flips must never panic: they
+// across two journals: a sweep interrupted mid-way, and the
+// frame-bearing entry a journaled sweep commits, which is a journal
+// too once cut. Truncation — the crash shape the journal exists for —
+// must degrade to an earlier frame whose units are bit-identical to the
+// uninterrupted sweep's prefix, or to no journal at all; never to a
+// wrong resume. Cut at a frame boundary, the entry must be a store miss
+// and, as a journal, resume from exactly that frame to the
+// uninterrupted sweep bit for bit. Byte flips must never panic: they
 // load into a structurally sound prefix (whose units all materialize)
-// or degrade to nothing, as in the committed-entry corruption suite —
-// content flips are undetectable without checksums, but the resume
-// path's plan validation still fences them off the boundary stream.
+// or degrade to nothing, as in the committed-entry corruption suite.
 func TestPartialCorruptionDegrades(t *testing.T) {
 	p := genProg(t, "gccx", 400_000)
 	cfg := uarch.Config8Way()
@@ -194,10 +216,12 @@ func TestPartialCorruptionDegrades(t *testing.T) {
 	key := checkpoint.KeyFor(p, cfg, params)
 	journalSweep(t, p, cfg, params, store, key, nil, len(want)-2)
 	path := filepath.Join(dir, key.Hash()+".partial")
+	entryPath := filepath.Join(dir, key.Hash()+".ckpt")
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	entry, bounds := journaledEntry(t, p, cfg, params, key)
 
 	checkPrefix := func(what string, rs *checkpoint.ResumeState) {
 		t.Helper()
@@ -211,6 +235,18 @@ func TestPartialCorruptionDegrades(t *testing.T) {
 			t.Fatalf("%s: frame position %d, last unit launch %d", what, rs.SweepInsts, last.Arch.Count)
 		}
 	}
+	// resumes finishes the sweep from rs and requires the whole stream
+	// to be the uninterrupted sweep's, bit for bit.
+	resumes := func(what string, rs *checkpoint.ResumeState) {
+		t.Helper()
+		units, sum := journalSweep(t, p, cfg, params, store, key, rs, 0)
+		if !sum.Complete || len(units) != len(want) {
+			t.Fatalf("%s: resumed sweep produced %d units (complete %v), want %d", what, len(units), sum.Complete, len(want))
+		}
+		for i, u := range units {
+			unitsEqual(t, what, u, want[i])
+		}
+	}
 
 	// The intact journal must be a clean prefix.
 	rs, err := store.LoadPartial(key)
@@ -220,8 +256,9 @@ func TestPartialCorruptionDegrades(t *testing.T) {
 	checkPrefix("intact", rs)
 	full := len(rs.Units)
 
-	// Truncations at 50 points: every cut degrades to an earlier frame
-	// (or none), still a bit-identical prefix.
+	// Truncations at 50 points of the interrupted journal: every cut
+	// degrades to an earlier frame (or none), still a bit-identical
+	// prefix.
 	sawShorter := false
 	for i := 1; i < 50; i++ {
 		cut := len(data) * i / 50
@@ -244,7 +281,28 @@ func TestPartialCorruptionDegrades(t *testing.T) {
 		t.Fatal("no truncation point degraded to an earlier frame — the sweep is not exercising the prefix recovery")
 	}
 
-	// Byte flips at 60 points: no panics, every survivor materializes.
+	// The frame-bearing entry cut at every frame boundary: a miss as an
+	// entry, and as a journal the exact frame, which resumes.
+	for _, b := range bounds {
+		if err := os.WriteFile(entryPath, entry[:b.at], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := store.Load(key); err != nil || got != nil {
+			t.Fatalf("entry cut at frame %d: (set=%v err=%v), want miss", b.units, got != nil, err)
+		}
+		if err := os.WriteFile(path, entry[:b.at], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		rs, err := store.LoadPartial(key)
+		if err != nil || rs == nil || len(rs.Units) != b.units {
+			t.Fatalf("entry cut at the frame of %d units: journal %v (err %v)", b.units, rs != nil, err)
+		}
+		checkPrefix("entry cut at a frame", rs)
+		resumes("entry cut at a frame", rs)
+	}
+
+	// Byte flips at 60 points of the interrupted journal: no panics,
+	// every survivor materializes.
 	for i := 0; i < 60; i++ {
 		off := 12 + (len(data)-13)*i/60
 		mut := append([]byte(nil), data...)
@@ -271,19 +329,9 @@ func TestPartialCorruptionDegrades(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	rs, err = checkpoint.Resume(store, key)
+	rs, err = store.LoadPartial(key)
 	if err != nil || rs == nil {
 		t.Fatalf("intact journal unusable after sweep (rs=%v err=%v)", rs != nil, err)
 	}
-	units, sum := journalSweep(t, p, cfg, params, store, key, rs, 0)
-	if !sum.Complete {
-		t.Fatal("resumed sweep did not complete")
-	}
-	combined := append(append([]*checkpoint.Unit(nil), rs.Units...), units...)
-	if len(combined) != len(want) {
-		t.Fatalf("resumed sweep produced %d units, want %d", len(combined), len(want))
-	}
-	for i, u := range combined {
-		unitsEqual(t, "post-corruption resume", u, want[i])
-	}
+	resumes("post-corruption resume", rs)
 }

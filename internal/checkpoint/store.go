@@ -46,15 +46,19 @@ import (
 // Version 4 seals every entry with a CRC-32C: the codec primitives
 // fold each record byte into a running checksum (codec.go) and the end
 // record is followed by the writer's final sum as a trailing uint64.
-// Resume frames in partial journals seal their cumulative prefix the
-// same way (resume.go). The magic and version themselves stay outside
-// the sum — they are validated byte-for-byte instead. Structural
-// validation catches truncation and splicing; the checksum closes the
-// remaining gap — single-bit rot inside an opaque payload (a 4KiB
-// page, a predictor table) that still parses. Only v4 is read: the
-// store is a cache, so an entry or journal of any other version is a
-// miss that costs one re-sweep. Corruption anywhere — including
-// mid-chain — degrades to a miss too.
+// Resume frame records may precede the end record: a frame seals the
+// cumulative prefix before it the same way, so one byte stream is both
+// a sweep's crash-safe journal (cut after any frame) and, once the end
+// record lands, its committed entry (see SetWriter and resume.go).
+// Store.Save and EncodeSet write frame-free entries. The magic and
+// version themselves stay outside the sum — they are validated
+// byte-for-byte instead. Structural validation catches truncation and
+// splicing; the checksum closes the remaining gap — single-bit rot
+// inside an opaque payload (a 4KiB page, a predictor table) that still
+// parses. Only v4 is read: the store is a cache, so an entry or journal
+// of any other version is a miss that costs one re-sweep. Corruption
+// anywhere — including mid-chain or in a frame — degrades to a miss
+// too.
 const (
 	storeVersion = 4
 	storeExt     = ".ckpt"
@@ -338,105 +342,149 @@ func readSet(r io.Reader, k Key) (*Set, error) {
 	if err != nil {
 		return nil, err
 	}
-	return readRecords(cr, man)
+	set, _, err := scanRecords(cr, man)
+	return set, err
 }
 
-// readRecords decodes the record stream of a committed entry whose
-// header was already consumed by readHeader.
-func readRecords(cr *codecReader, man *storeManifest) (*Set, error) {
-	set := &Set{K: man.Key.K, PopulationUnits: man.PopulationUnits}
+// scanRecords is the one reader of the record stream after a header,
+// for committed entries and journals alike. Every frame is verified
+// where it appears — its seal over the prefix before it, its unit
+// count, and its keyframe list — and the last one that verifies is
+// returned as last (nil when none did). set is non-nil only when the
+// stream ends in a valid end record; err says why it does not. An entry
+// reader wants set, a journal reader the longest valid prefix: last.
+func scanRecords(cr *codecReader, man *storeManifest) (set *Set, last *ResumeState, err error) {
 	var pages []*[mem.PageSize]byte
-	var prev *Unit        // previously decoded unit (the delta chain predecessor)
-	var geom warmGeom     // geometry established by the last keyframe
-	var keyframes []int64 // ordinals of keyframe units, for index validation
-	var keyIdx []uint64   // the file's keyframe index record, when present
+	var units []*Unit
+	var prev *Unit         // previously decoded unit (the delta chain predecessor)
+	var geom warmGeom      // geometry established by the last keyframe
+	var keyframes []uint64 // ordinals of keyframe units, for index validation
+	var keyIdx []uint64    // the stream's keyframe index record, when present
 	sawKeyIdx := false
+	// matches checks a keyframe list recorded in the stream against the
+	// units actually decoded; a mismatch means records were lost or
+	// spliced.
+	matches := func(list []uint64) error {
+		if len(list) != len(keyframes) {
+			return fmt.Errorf("keyframe index lists %d keyframes, decoded %d", len(list), len(keyframes))
+		}
+		for i, ord := range list {
+			if ord != keyframes[i] {
+				return fmt.Errorf("keyframe index mismatch at %d: %d vs %d", i, ord, keyframes[i])
+			}
+		}
+		return nil
+	}
+	// seal checks the checksum field that closes a frame or the stream:
+	// it covers every byte the codec read before it.
+	seal := func() error {
+		expect := cr.sum()
+		stored, err := cr.u64()
+		if err != nil {
+			return fmt.Errorf("checksum: %w", err)
+		}
+		if uint32(stored) != expect {
+			return fmt.Errorf("checksum mismatch: stored %08x, computed %08x", uint32(stored), expect)
+		}
+		return nil
+	}
 	for {
 		tag, err := cr.u64()
 		if err != nil {
-			return nil, fmt.Errorf("record: %w", err)
+			return nil, last, fmt.Errorf("record: %w", err)
 		}
 		switch tag {
 		case recPage:
 			page, err := cr.bytes()
 			if err != nil {
-				return nil, err
+				return nil, last, err
 			}
 			if len(page) != mem.PageSize {
-				return nil, fmt.Errorf("page record of %d bytes", len(page))
+				return nil, last, fmt.Errorf("page record of %d bytes", len(page))
 			}
 			pages = append(pages, (*[mem.PageSize]byte)(page))
 		case recUnit:
 			u, err := cr.unit(pages, prev, &geom)
 			if err != nil {
-				return nil, err
+				return nil, last, err
 			}
 			// The keyframe index lists full-snapshot units: memory
 			// keyframes, which warm state keyframes with.
 			if u.Mem != nil {
-				keyframes = append(keyframes, int64(len(set.Units)))
+				keyframes = append(keyframes, uint64(len(units)))
 			}
 			prev = u
-			set.Units = append(set.Units, u)
+			units = append(units, u)
+		case recFrame:
+			var vals [5]uint64
+			for i := range vals {
+				if vals[i], err = cr.u64(); err != nil {
+					return nil, last, err
+				}
+			}
+			list, err := cr.u64s()
+			if err != nil {
+				return nil, last, err
+			}
+			if err := seal(); err != nil {
+				return nil, last, fmt.Errorf("frame: %w", err)
+			}
+			if vals[0] != uint64(len(units)) {
+				return nil, last, fmt.Errorf("frame at %d units, decoded %d", vals[0], len(units))
+			}
+			if err := matches(list); err != nil {
+				return nil, last, fmt.Errorf("frame: %w", err)
+			}
+			if n := len(units); n > 0 {
+				last = &ResumeState{
+					Units:           units[:n:n],
+					PopulationUnits: man.PopulationUnits,
+					SweepInsts:      vals[1],
+					SweepTime:       time.Duration(int64(vals[2])),
+					HaveIBlock:      vals[3] != 0,
+					LastIBlock:      vals[4],
+				}
+			}
 		case recKeyIdx:
 			if sawKeyIdx {
-				return nil, fmt.Errorf("unexpected keyframe index record")
+				return nil, last, fmt.Errorf("unexpected keyframe index record")
 			}
 			if keyIdx, err = cr.u64s(); err != nil {
-				return nil, err
+				return nil, last, err
 			}
 			sawKeyIdx = true
 		case recEnd:
-			units, err := cr.u64()
-			if err != nil {
-				return nil, err
-			}
-			if units != uint64(len(set.Units)) {
-				return nil, fmt.Errorf("truncated: %d of %d units", len(set.Units), units)
-			}
-			// The keyframe index must agree with the units actually
-			// decoded; a mismatch means records were lost or spliced.
-			if !sawKeyIdx {
-				return nil, fmt.Errorf("missing keyframe index")
-			}
-			if len(keyIdx) != len(keyframes) {
-				return nil, fmt.Errorf("keyframe index lists %d keyframes, decoded %d", len(keyIdx), len(keyframes))
-			}
-			for i, ord := range keyIdx {
-				if ord != uint64(keyframes[i]) {
-					return nil, fmt.Errorf("keyframe index mismatch at %d: %d vs %d", i, ord, keyframes[i])
+			var vals [3]uint64
+			for i := range vals {
+				if vals[i], err = cr.u64(); err != nil {
+					return nil, last, err
 				}
 			}
-			if set.SweepInsts, err = cr.u64(); err != nil {
-				return nil, err
+			if vals[0] != uint64(len(units)) {
+				return nil, last, fmt.Errorf("truncated: %d of %d units", len(units), vals[0])
 			}
-			nanos, err := cr.u64()
-			if err != nil {
-				return nil, err
+			if !sawKeyIdx {
+				return nil, last, fmt.Errorf("missing keyframe index")
 			}
-			set.SweepTime = time.Duration(int64(nanos))
-			// The trailing checksum seals every byte the codec read;
-			// snapshot the running sum before consuming the field itself.
-			expect := cr.sum()
-			stored, err := cr.u64()
-			if err != nil {
-				return nil, fmt.Errorf("checksum: %w", err)
+			if err := matches(keyIdx); err != nil {
+				return nil, last, err
 			}
-			if uint32(stored) != expect {
-				return nil, fmt.Errorf("checksum mismatch: stored %08x, computed %08x", uint32(stored), expect)
+			if err := seal(); err != nil {
+				return nil, last, err
 			}
-			return set, nil
+			return &Set{Units: units, K: man.Key.K, PopulationUnits: man.PopulationUnits,
+				SweepInsts: vals[1], SweepTime: time.Duration(int64(vals[2]))}, last, nil
 		default:
-			return nil, fmt.Errorf("unknown record tag %d", tag)
+			return nil, last, fmt.Errorf("unknown record tag %d", tag)
 		}
 	}
 }
 
 // setEncoder writes one entry's byte stream (header, manifest, page and
-// unit records, keyframe index, end record) to any io.Writer. It is the
-// shared encoding core of the store's SetWriter and of EncodeSet, the
-// wire form the distributed service ships sweeps with — both produce
-// the identical format-v4 byte stream.
+// unit records, resume frames, keyframe index, end record) to any
+// io.Writer. It is the shared encoding core of SetWriter and of
+// EncodeSet, the wire form the distributed service ships sweeps with —
+// both produce the format-v4 byte stream, EncodeSet without frames.
 type setEncoder struct {
 	cw *codecWriter
 	// table is the running reconstruction of the stream's current page
@@ -459,8 +507,9 @@ type setEncoder struct {
 	// instead.
 	prevUnit *Unit
 	// keyframes holds the ordinals of full-snapshot units for the
-	// keyframe index record finish emits.
+	// keyframe index record finish emits (and every frame repeats).
 	keyframes []uint64
+	frames    int // frame records written
 }
 
 // newSetEncoder writes the header and manifest for an entry keyed by k
@@ -487,51 +536,138 @@ func newSetEncoder(w io.Writer, k Key, pop uint64) (*setEncoder, error) {
 	return e, nil
 }
 
-// SetWriter streams a capture into the store as units are emitted, so
-// saving adds no memory footprint to the pipelined engine. Commit
-// finalizes the entry atomically; Abort discards it. Exactly one of the
-// two must be called.
+// SetWriter streams one sweep into one format-v4 byte stream as its
+// units are captured: the staged store entry and, once the sweep offers
+// resume frames, its crash-safe journal are the same bytes, and each
+// unit is encoded once. Frame seals the records written so far under a
+// resume frame — the writer's first frame, then one per resumeInterval
+// keyframes — and publishes the stream; Commit appends the keyframe
+// index, the end record and the checksum. Errors are sticky.
+//
+// A store writer (Store.Writer) stages the stream in a temp file of its
+// own. Its first frame publishes the file as <hash>.partial: a hard link
+// renamed into place, so journal and staged entry stay one file and a
+// crash at any byte leaves a journal whose frame prefix is intact.
+// Commit renames the staged file to <hash>.ckpt and removes the journal
+// only while it is still this writer's (os.SameFile), so a concurrent
+// writer of the same key keeps the journal it published meanwhile.
+// Suspend ends an interrupted sweep: it journals the last frame offered
+// and keeps the journal. Abort removes everything the writer created.
+// Exactly one of Commit, Suspend and Abort must be called.
+//
+// A buffer writer (BufferWriter) keeps the stream in memory and hands
+// every published prefix to a callback; after Commit, Bytes is the
+// whole entry.
 type SetWriter struct {
-	store *Store
-	key   Key
-	tmp   *os.File
 	enc   *setEncoder
 	err   error
+	every int          // journal cadence in keyframes; 0 never journals
+	kfAt  int          // keyframes written when the last frame was journaled
+	held  *ResumeFrame // the last frame offered, until it is journaled
+
+	// Store writers.
+	store   *Store
+	key     Key
+	f       *os.File
+	journal os.FileInfo // the published <hash>.partial, nil until the first frame
+
+	// Buffer writers.
+	buf     *bytes.Buffer
+	publish func(journal []byte)
+}
+
+// DefaultResumeInterval is the journal cadence a zero resumeInterval
+// selects: one frame every 4 keyframes keeps the journal I/O a small
+// fraction of capture while bounding the sweep an interruption loses to
+// a few keyframe intervals of units.
+const DefaultResumeInterval = 4
+
+func newSetWriter(w io.Writer, k Key, pop uint64, resumeInterval int) (*SetWriter, error) {
+	enc, err := newSetEncoder(w, k, pop)
+	if err != nil {
+		return nil, err
+	}
+	sw := &SetWriter{enc: enc, every: resumeInterval, key: k}
+	switch {
+	case resumeInterval == 0:
+		sw.every = DefaultResumeInterval
+	case resumeInterval < 0:
+		sw.every = 0
+	}
+	return sw, nil
 }
 
 // Writer stages a new store entry for k. pop is the workload's
-// population size in units (Summary.PopulationUnits).
+// population size in units (Summary.PopulationUnits). resumeInterval is
+// the journal cadence in keyframes (0 selects DefaultResumeInterval; a
+// negative value never journals).
 //
 //simlint:noctx opens a staging temp file; writes stream under the caller's ctx
-func (s *Store) Writer(k Key, pop uint64) (*SetWriter, error) {
+func (s *Store) Writer(k Key, pop uint64, resumeInterval int) (*SetWriter, error) {
 	tmp, err := os.CreateTemp(s.dir, k.Hash()+".tmp-*")
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: store writer: %w", err)
 	}
-	w := &SetWriter{store: s, key: k, tmp: tmp}
-	enc, err := newSetEncoder(tmp, k, pop)
+	w, err := newSetWriter(tmp, k, pop, resumeInterval)
 	if err != nil {
-		w.fail(err)
-		return nil, w.err
+		tmp.Close()
+		os.Remove(tmp.Name())
+		return nil, fmt.Errorf("checkpoint: store writer: %w", err)
 	}
-	w.enc = enc
+	w.store, w.f = s, tmp
 	return w, nil
 }
 
-func (w *SetWriter) fail(err error) {
+// BufferWriter is Writer over memory: the stream accumulates in a buffer,
+// and publish (when non-nil) receives the stream after each journaled
+// frame. The slice is only valid until the next call on the writer.
+func BufferWriter(k Key, pop uint64, resumeInterval int, publish func(journal []byte)) *SetWriter {
+	buf := new(bytes.Buffer)
+	w, _ := newSetWriter(buf, k, pop, resumeInterval) //simlint:discard writes to a bytes.Buffer cannot fail
+	w.buf, w.publish = buf, publish
+	return w
+}
+
+// Bytes returns a buffer writer's stream as written so far — after
+// Commit, the complete entry — or nil for a store writer.
+func (w *SetWriter) Bytes() []byte {
+	if w.buf == nil {
+		return nil
+	}
+	return w.buf.Bytes()
+}
+
+// fail records err and ends the staged file. A journal already
+// published is kept: its frame prefix is intact whatever the staged tail
+// holds.
+func (w *SetWriter) fail(err error) error {
 	if w.err == nil {
 		w.err = err
 	}
-	w.cleanup()
+	w.closeFile()
+	return w.err
 }
 
-func (w *SetWriter) cleanup() {
-	if w.tmp != nil {
-		name := w.tmp.Name()
-		w.tmp.Close()
-		os.Remove(name)
-		w.tmp = nil
+// closeFile closes the staged file and removes its temp name.
+func (w *SetWriter) closeFile() {
+	if w.f != nil {
+		w.f.Close()
+		os.Remove(w.f.Name())
+		w.f = nil
 	}
+}
+
+// dropJournal removes <hash>.partial while it is still the journal this
+// writer published.
+func (w *SetWriter) dropJournal() {
+	if w.journal == nil {
+		return
+	}
+	path := w.store.partialPath(w.key)
+	if fi, err := os.Stat(path); err == nil && os.SameFile(fi, w.journal) {
+		os.Remove(path)
+	}
+	w.journal = nil
 }
 
 // page ensures data has a page record, writing one on first sight, and
@@ -663,52 +799,139 @@ func (w *SetWriter) Add(u *Unit) error {
 		return w.err
 	}
 	if err := w.enc.add(u); err != nil {
-		w.fail(err)
+		return w.fail(err)
 	}
-	return w.err
+	return nil
 }
 
-// Commit seals the entry with the sweep totals and atomically installs
-// it under the key's content address.
+// Frame offers the sweep state after the units added so far (fr.Captured
+// must count them). The writer journals the first frame it is offered
+// and then one per cadence of keyframes; any other frame is held for
+// Suspend. A writer without a cadence ignores frames.
+func (w *SetWriter) Frame(fr ResumeFrame) error {
+	if w.err != nil || w.every == 0 {
+		return w.err
+	}
+	w.held = &fr
+	if w.enc.frames == 0 || len(w.enc.keyframes)-w.kfAt >= w.every {
+		return w.seal()
+	}
+	return nil
+}
+
+// seal journals the held frame: the frame record is appended, the
+// stream flushed, and the first frame publishes it.
+func (w *SetWriter) seal() error {
+	if w.err != nil || w.held == nil {
+		return w.err
+	}
+	fr := *w.held
+	w.held = nil
+	if fr.Captured != w.enc.units {
+		return w.fail(fmt.Errorf("checkpoint: frame at %d units, %d written", fr.Captured, w.enc.units))
+	}
+	if err := w.enc.frame(fr); err != nil {
+		return w.fail(err)
+	}
+	if err := w.enc.cw.w.Flush(); err != nil {
+		return w.fail(err)
+	}
+	w.kfAt = len(w.enc.keyframes)
+	switch {
+	case w.buf != nil:
+		if w.publish != nil {
+			w.publish(w.buf.Bytes())
+		}
+	case w.journal == nil:
+		if err := w.publishJournal(); err != nil {
+			// The entry is still good; only the journal is lost.
+			w.store.Log("checkpoint store: not journaling %s: %v", w.key.Hash(), err)
+			w.every = 0
+		}
+	}
+	return nil
+}
+
+// publishJournal installs the staged file as the key's journal: a hard
+// link under a temp name, renamed over <hash>.partial so a reader never
+// sees a half-installed journal.
+func (w *SetWriter) publishJournal() error {
+	fi, err := w.f.Stat()
+	if err != nil {
+		return err
+	}
+	link := w.f.Name() + ".link"
+	if err := os.Link(w.f.Name(), link); err != nil {
+		return err
+	}
+	if err := os.Rename(link, w.store.partialPath(w.key)); err != nil {
+		os.Remove(link)
+		return err
+	}
+	w.journal = fi
+	return nil
+}
+
+// Commit seals the entry with the sweep totals. A store writer installs
+// it atomically under the key's content address and removes its own
+// journal, which the entry supersedes.
 func (w *SetWriter) Commit(sweepInsts uint64, sweepTime time.Duration) error {
 	if w.err != nil {
 		return w.err
 	}
 	if err := w.enc.finish(sweepInsts, sweepTime); err != nil {
-		w.fail(err)
-		return w.err
+		return w.fail(err)
 	}
-	name := w.tmp.Name()
-	if err := w.tmp.Close(); err != nil {
-		w.tmp = nil
+	if w.f == nil {
+		return nil // a buffer writer
+	}
+	name := w.f.Name()
+	err := w.f.Close()
+	w.f = nil
+	if err == nil {
+		err = os.Rename(name, w.store.path(w.key))
+	}
+	if err != nil {
 		os.Remove(name)
 		w.err = err
 		return err
 	}
-	w.tmp = nil
-	final := w.store.path(w.key)
-	if err := os.Rename(name, final); err != nil {
-		os.Remove(name)
-		w.err = err
-		return err
-	}
+	w.dropJournal()
 	w.store.Log("checkpoint store: saved %s (%s: %d units)", w.key.Hash(), w.key.Workload, w.enc.units)
 	w.store.noteCommit(w.key.Hash(), w.key.String(), w.enc.units)
 	return nil
 }
 
-// Abort discards the staged entry.
+// Suspend ends an interrupted sweep: the last frame offered is
+// journaled, and a store writer's journal stays for a later resume
+// (a writer that journaled nothing leaves nothing behind).
+func (w *SetWriter) Suspend() error {
+	w.seal()
+	if w.journal != nil && w.err == nil {
+		w.store.Log("checkpoint store: journaled partial %s (%s: %d units)",
+			w.key.Hash(), w.key.Workload, w.enc.units)
+	}
+	w.closeFile()
+	err := w.err
+	if w.err == nil {
+		w.err = fmt.Errorf("checkpoint: store write suspended")
+	}
+	return err
+}
+
+// Abort discards the staged entry and its journal.
 func (w *SetWriter) Abort() {
-	w.cleanup()
+	w.closeFile()
+	w.dropJournal()
 	if w.err == nil {
 		w.err = fmt.Errorf("checkpoint: store write aborted")
 	}
 }
 
-// Save writes an already-collected Set under k (the streaming path uses
-// Writer directly).
+// Save writes an already-collected Set under k, frame-free (the
+// streaming path uses Writer directly).
 func (s *Store) Save(k Key, set *Set) error {
-	w, err := s.Writer(k, set.PopulationUnits)
+	w, err := s.Writer(k, set.PopulationUnits, -1)
 	if err != nil {
 		return err
 	}

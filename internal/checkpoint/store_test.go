@@ -196,12 +196,12 @@ func TestStoreVersionAndCorruption(t *testing.T) {
 
 // TestStoreCorruptDeltaChains sweeps truncation points and single-byte
 // flips across a delta-encoded entry — including points inside delta
-// records and the keyframe index. Truncations and splices must degrade
+// records and the keyframe index — in both shapes an entry is written:
+// frame-free (Save) and frame-bearing (a journaled sweep's commit, cut
+// also at every frame boundary). Truncations and splices must degrade
 // to a store miss (no error, no panic, never a silently short set);
 // byte flips must either miss or load into a set whose every unit
-// still materializes without panicking (content flips are undetectable
-// without checksums, but structural corruption must never escape the
-// decoder).
+// still materializes without panicking.
 func TestStoreCorruptDeltaChains(t *testing.T) {
 	p := genProg(t, "gccx", 400_000)
 	cfg := uarch.Config8Way()
@@ -223,75 +223,192 @@ func TestStoreCorruptDeltaChains(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := filepath.Join(dir, key.Hash()+".ckpt")
-	data, err := os.ReadFile(path)
+	saved, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	framed, bounds := journaledEntry(t, p, cfg, params, key)
 
-	// Truncations at 40 points through the file (mid-chain truncation
-	// lands inside delta records for most of them).
-	for i := 1; i < 40; i++ {
-		cut := len(data) * i / 40
-		if err := os.WriteFile(path, data[:cut], 0o644); err != nil {
+	for _, in := range []struct {
+		name string
+		data []byte
+		cuts []int
+	}{
+		{"saved", saved, nil},
+		{"journaled", framed, func() (at []int) {
+			for _, b := range bounds {
+				at = append(at, b.at)
+			}
+			return at
+		}()},
+	} {
+		data := in.data
+		// Truncations at 40 points through the file (mid-chain truncation
+		// lands inside delta records for most of them), plus the input's
+		// frame boundaries.
+		cuts := in.cuts
+		for i := 1; i < 40; i++ {
+			cuts = append(cuts, len(data)*i/40)
+		}
+		for _, cut := range cuts {
+			if err := os.WriteFile(path, data[:cut], 0o644); err != nil {
+				t.Fatal(err)
+			}
+			got, err := store.Load(key)
+			if err != nil {
+				t.Fatalf("%s: truncation at %d bytes: got error %v, want miss", in.name, cut, err)
+			}
+			if got != nil {
+				t.Fatalf("%s: truncation at %d bytes: got a set, want miss", in.name, cut)
+			}
+		}
+
+		// Deleting a span from the middle (splicing records) must miss
+		// too — the unit count or keyframe index will disagree.
+		spliced := append(append([]byte(nil), data[:len(data)/3]...), data[len(data)/3+1024:]...)
+		if err := os.WriteFile(path, spliced, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		got, err := store.Load(key)
-		if err != nil {
-			t.Fatalf("truncation at %d bytes: got error %v, want miss", cut, err)
+		if got, err := store.Load(key); err != nil || got != nil {
+			t.Fatalf("%s: spliced entry: (set=%v err=%v), want miss", in.name, got != nil, err)
 		}
-		if got != nil {
-			t.Fatalf("truncation at %d bytes: got a set, want miss", cut)
+
+		// Byte flips at 60 points through the file, including inside
+		// intact delta records. A flip in structural fields (lengths,
+		// block indices, RAS top) must be rejected at load; whatever Load
+		// returns, materializing every unit must never panic or index out
+		// of range.
+		for i := 0; i < 60; i++ {
+			off := 12 + (len(data)-13)*i/60 // past magic+version: header flips are covered above
+			mut := append([]byte(nil), data...)
+			mut[off] ^= 0x5a
+			if err := os.WriteFile(path, mut, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			got, err := store.Load(key)
+			if err != nil {
+				t.Fatalf("%s: flip at %d: got error %v, want miss or load", in.name, off, err)
+			}
+			if got == nil {
+				continue
+			}
+			for u := range got.Units {
+				if _, err := got.Materialize(u); err != nil {
+					t.Fatalf("%s: flip at %d: loaded set failed to materialize unit %d: %v", in.name, off, u, err)
+				}
+			}
+		}
+
+		// Restore the intact file: it must load again (the sweep above
+		// must not have poisoned anything).
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := store.Load(key)
+		if err != nil || loaded == nil || len(loaded.Units) != len(set.Units) {
+			t.Fatalf("%s: intact entry failed to load after corruption sweep: %v", in.name, err)
+		}
+		for i := range set.Units {
+			unitsEqual(t, in.name+" post-sweep", loaded.Units[i], set.Units[i])
 		}
 	}
+}
 
-	// Deleting a span from the middle (splicing records) must miss too —
-	// the unit count or keyframe index will disagree.
-	spliced := append(append([]byte(nil), data[:len(data)/3]...), data[len(data)/3+1024:]...)
-	if err := os.WriteFile(path, spliced, 0o644); err != nil {
+// TestStoreWritersOfOneKey: two writers of one key in one directory
+// each publish a journal; each Commit installs its own complete entry
+// and neither removes the other's journal or installs it as the entry.
+func TestStoreWritersOfOneKey(t *testing.T) {
+	p := genProg(t, "gzipx", 200_000)
+	cfg := uarch.Config8Way()
+	params := checkpoint.Params{U: 1000, W: 1000, K: 10, FunctionalWarm: true, Keyframe: 2}
+	set := capture(t, p, cfg, params)
+	key := checkpoint.KeyFor(p, cfg, params)
+	dir := t.TempDir()
+	store, err := checkpoint.OpenStore(dir)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got, err := store.Load(key); err != nil || got != nil {
-		t.Fatalf("spliced entry: (set=%v err=%v), want miss", got != nil, err)
-	}
-
-	// Byte flips at 60 points through the file, including inside intact
-	// delta records. A flip in structural fields (lengths, block
-	// indices, RAS top) must be rejected at load; a flip in content
-	// bytes (tags, counters, page data) is undetectable without
-	// checksums and may load — but whatever Load returns, materializing
-	// every unit must never panic or index out of range.
-	for i := 0; i < 60; i++ {
-		off := 12 + (len(data)-13)*i/60 // past magic+version: header flips are covered above
-		mut := append([]byte(nil), data...)
-		mut[off] ^= 0x5a
-		if err := os.WriteFile(path, mut, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		got, err := store.Load(key)
-		if err != nil {
-			t.Fatalf("flip at %d: got error %v, want miss or load", off, err)
-		}
-		if got == nil {
-			continue
-		}
-		for u := range got.Units {
-			if _, err := got.Materialize(u); err != nil {
-				t.Fatalf("flip at %d: loaded set failed to materialize unit %d: %v", off, u, err)
+	// feed adds units [from, to) to w, offering a frame after each.
+	feed := func(w *checkpoint.SetWriter, from, to int) {
+		t.Helper()
+		for i := from; i < to; i++ {
+			u := set.Units[i]
+			if err := w.Add(u); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Frame(checkpoint.ResumeFrame{Captured: i + 1, SweepInsts: u.Arch.Count}); err != nil {
+				t.Fatal(err)
 			}
 		}
 	}
-
-	// Restore the intact file: it must load again (the sweep above must
-	// not have poisoned anything).
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
+	journal := func() int {
+		t.Helper()
+		rs, err := store.LoadPartial(key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rs == nil {
+			return 0
+		}
+		return len(rs.Units)
 	}
-	loaded, err := store.Load(key)
-	if err != nil || loaded == nil {
-		t.Fatalf("intact entry failed to load after corruption sweep: %v", err)
+	loads := func(what string) {
+		t.Helper()
+		got, err := store.Load(key)
+		if err != nil || got == nil || len(got.Units) != len(set.Units) {
+			t.Fatalf("%s: entry does not load complete (set=%v err=%v)", what, got != nil, err)
+		}
+		for i := range set.Units {
+			unitsEqual(t, what, got.Units[i], set.Units[i])
+		}
 	}
-	for i := range set.Units {
-		unitsEqual(t, "post-sweep", loaded.Units[i], set.Units[i])
+	n := len(set.Units)
+	for _, firstCommits := range []string{"older", "newer"} {
+		a, err := store.Writer(key, set.PopulationUnits, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := store.Writer(key, set.PopulationUnits, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fed := map[*checkpoint.SetWriter]int{a: 5, b: 3}
+		feed(a, 0, fed[a]) // a publishes its journal ...
+		feed(b, 0, fed[b]) // ... and b replaces it with its own
+		if got := journal(); got != fed[b] {
+			t.Fatalf("journal holds %d units, want b's %d", got, fed[b])
+		}
+		first, second := a, b
+		if firstCommits == "newer" {
+			first, second = b, a
+		}
+		feed(first, fed[first], n)
+		if err := first.Commit(set.SweepInsts, set.SweepTime); err != nil {
+			t.Fatal(err)
+		}
+		loads(firstCommits + " writer's commit")
+		// b's journal outlives a's commit; b's own commit removes it.
+		want := fed[b]
+		if first == b {
+			want = 0
+		}
+		if got := journal(); got != want {
+			t.Fatalf("after the %s writer commits, the journal holds %d units, want %d", firstCommits, got, want)
+		}
+		feed(second, fed[second], n)
+		if err := second.Commit(set.SweepInsts, set.SweepTime); err != nil {
+			t.Fatal(err)
+		}
+		loads("second commit")
+		if got := journal(); got != 0 {
+			t.Fatalf("a journal of %d units survived both commits", got)
+		}
+		if err := os.Remove(filepath.Join(dir, key.Hash()+".ckpt")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if left, _ := filepath.Glob(filepath.Join(dir, "*.tmp-*")); len(left) != 0 {
+		t.Fatalf("committed writers left staged files: %v", left)
 	}
 }
 
@@ -410,7 +527,7 @@ func TestStoreStreamingWriter(t *testing.T) {
 	sum, err := checkpoint.CaptureStream(context.Background(), p, cfg, params, func(u *checkpoint.Unit) bool {
 		if w == nil {
 			var werr error
-			w, werr = store.Writer(key, p.Length/params.U)
+			w, werr = store.Writer(key, p.Length/params.U, 0)
 			if werr != nil {
 				t.Fatal(werr)
 			}
@@ -442,7 +559,7 @@ func TestStoreStreamingWriter(t *testing.T) {
 	}
 
 	// Aborted writers leave nothing behind.
-	w2, err := store.Writer(key, 0)
+	w2, err := store.Writer(key, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -53,8 +53,8 @@ func DiskCache(disk *Store) *SweepCache { return &SweepCache{disk: disk} }
 // WithoutDisk returns a cache sharing c's memory tier with no disk tier.
 func (c *SweepCache) WithoutDisk() *SweepCache { return &SweepCache{mem: c.mem} }
 
-// Store returns the disk tier, or nil. The partial-sweep journal lives
-// beside its entries.
+// Store returns the disk tier, or nil. Sweep journals live beside its
+// entries.
 func (c *SweepCache) Store() *Store {
 	if c == nil {
 		return nil
@@ -117,8 +117,10 @@ func (c *SweepCache) MemStats() (hits, misses, evictions uint64, bytes int64, ok
 
 // SweepWriter commits one streamed sweep to a cache's tiers as its units
 // are captured: each unit is staged to disk as it arrives (so saving
-// adds no memory footprint) and retained only for a memory tier. Exactly
-// one of Commit and Abort must be called.
+// adds no memory footprint) and retained only for a memory tier. Frames
+// pass through to the disk tier, whose staged entry is the sweep's
+// crash-safe journal (see SetWriter). Exactly one of Commit and Suspend
+// must be called.
 type SweepWriter struct {
 	key   Key
 	mem   *memTier
@@ -127,8 +129,10 @@ type SweepWriter struct {
 }
 
 // Writer starts streaming the sweep for k, over a population of pop
-// units. A disk tier that cannot stage the entry is logged and skipped.
-func (c *SweepCache) Writer(k Key, pop uint64) *SweepWriter {
+// units; resumeInterval is the disk tier's journal cadence (see
+// Store.Writer). A disk tier that cannot stage the entry is logged and
+// skipped.
+func (c *SweepCache) Writer(k Key, pop uint64, resumeInterval int) *SweepWriter {
 	w := &SweepWriter{key: k}
 	if c == nil {
 		return w
@@ -136,7 +140,7 @@ func (c *SweepCache) Writer(k Key, pop uint64) *SweepWriter {
 	w.mem = c.mem
 	if c.disk != nil {
 		var err error
-		if w.disk, err = c.disk.Writer(k, pop); err != nil {
+		if w.disk, err = c.disk.Writer(k, pop, resumeInterval); err != nil {
 			c.disk.Log("checkpoint store: not saving: %v", err)
 		}
 	}
@@ -144,17 +148,33 @@ func (c *SweepCache) Writer(k Key, pop uint64) *SweepWriter {
 }
 
 // Add appends the next unit in stream order. A disk write failure is
-// logged and drops only the disk tier's entry.
-func (w *SweepWriter) Add(u *Unit) {
-	if w.disk != nil {
-		if err := w.disk.Add(u); err != nil {
-			w.disk.store.Log("checkpoint store: save failed mid-sweep: %v", err)
-			w.disk = nil
-		}
-	}
+// logged and drops only the disk tier's entry (its journal stays); the
+// error is returned by the call that dropped it.
+func (w *SweepWriter) Add(u *Unit) error {
 	if w.mem != nil {
 		w.units = append(w.units, u)
 	}
+	if w.disk == nil {
+		return nil
+	}
+	return w.dropDisk(w.disk.Add(u))
+}
+
+// Frame passes a resume frame to the disk tier.
+func (w *SweepWriter) Frame(fr ResumeFrame) error {
+	if w.disk == nil {
+		return nil
+	}
+	return w.dropDisk(w.disk.Frame(fr))
+}
+
+// dropDisk logs a disk tier failure and drops the tier.
+func (w *SweepWriter) dropDisk(err error) error {
+	if err != nil {
+		w.disk.store.Log("checkpoint store: save failed mid-sweep: %v", err)
+		w.disk = nil
+	}
+	return err
 }
 
 // Commit installs the complete sweep in every tier: k is the sampling
@@ -169,10 +189,11 @@ func (w *SweepWriter) Commit(k uint64, sum *Summary) {
 		SweepInsts: sum.SweepInsts, SweepTime: sum.SweepTime})
 }
 
-// Abort discards the staged sweep.
-func (w *SweepWriter) Abort() {
+// Suspend ends an incomplete sweep: nothing is cached, and the disk
+// tier keeps its journal for a later resume.
+func (w *SweepWriter) Suspend() {
 	if w.disk != nil {
-		w.disk.Abort()
+		w.disk.Suspend()
 	}
 }
 

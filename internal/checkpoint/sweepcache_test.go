@@ -250,7 +250,7 @@ func TestSweepCacheTiers(t *testing.T) {
 
 			// A streamed sweep is retained for the memory tier only.
 			_, _, _, memBefore, _ := c.MemStats()
-			w := c.Writer(streamKey, set.PopulationUnits)
+			w := c.Writer(streamKey, set.PopulationUnits, 0)
 			for _, u := range set.Units {
 				w.Add(u)
 			}
@@ -269,13 +269,13 @@ func TestSweepCacheTiers(t *testing.T) {
 				t.Fatal("streamed sweep not served")
 			}
 
-			// An aborted stream leaves no trace in any tier.
+			// A suspended stream leaves no entry in any tier.
 			abortKey := checkpoint.KeyFor(p, cfg, checkpoint.Params{U: 1000, W: 1000, K: 20, J: 2, FunctionalWarm: true})
-			w = c.Writer(abortKey, set.PopulationUnits)
+			w = c.Writer(abortKey, set.PopulationUnits, 0)
 			w.Add(set.Units[0])
-			w.Abort()
+			w.Suspend()
 			if c.Contains(abortKey) {
-				t.Fatal("aborted stream left an entry")
+				t.Fatal("suspended stream left an entry")
 			}
 		})
 	}
@@ -290,10 +290,11 @@ func TestSweepCacheNil(t *testing.T) {
 	if set, err := c.Get(k); set != nil || err != nil || c.Contains(k) || c.Store() != nil {
 		t.Fatal("nil cache holds something")
 	}
-	w := c.Writer(k, 1)
+	w := c.Writer(k, 1, 0)
 	w.Add(nil)
+	w.Frame(checkpoint.ResumeFrame{})
 	w.Commit(1, &checkpoint.Summary{})
-	w.Abort()
+	w.Suspend()
 	if _, _, _, held, ok := c.MemStats(); ok || held != 0 {
 		t.Fatal("nil cache reports a memory tier")
 	}

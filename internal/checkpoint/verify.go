@@ -57,10 +57,10 @@ func (s *Store) Verify(evict bool) (*VerifyReport, error) {
 		switch {
 		case strings.HasSuffix(base, storeExt):
 			rep.Entries++
-			verr = verifyEntry(path)
+			verr = verifyFile(path, storeExt)
 		case strings.HasSuffix(base, partialExt):
 			rep.Partials++
-			verr = verifyPartial(path)
+			verr = verifyFile(path, partialExt)
 		default:
 			// index.json, orphaned temp files, foreign files: not ours to
 			// judge.
@@ -81,9 +81,11 @@ func (s *Store) Verify(evict bool) (*VerifyReport, error) {
 	return rep, nil
 }
 
-// verifyEntry decodes one committed entry against its own manifest key
-// and checks the file sits at that key's content address.
-func verifyEntry(path string) error {
+// verifyFile decodes one committed entry (ext storeExt) or journal
+// (partialExt) against its own manifest key, under the rules the load
+// path applies to it, and checks the file sits at that key's content
+// address.
+func verifyFile(path, ext string) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
@@ -93,42 +95,15 @@ func verifyEntry(path string) error {
 	if err != nil {
 		return err
 	}
-	if want := man.Key.Hash() + storeExt; filepath.Base(path) != want {
+	if want := man.Key.Hash() + ext; filepath.Base(path) != want {
 		return fmt.Errorf("filename does not match manifest key (want %s)", want)
 	}
-	if _, err := readRecords(cr, man); err != nil {
+	_, last, err := scanRecords(cr, man)
+	if ext == storeExt {
 		return err
 	}
-	return nil
-}
-
-// verifyPartial checks a partial journal holds at least one resumable
-// frame, under the same longest-valid-prefix rules LoadPartial applies.
-func verifyPartial(path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
+	if last == nil {
+		return fmt.Errorf("no usable frame")
 	}
-	man, err := func() (*storeManifest, error) {
-		defer f.Close()
-		_, man, err := readHeader(f)
-		return man, err
-	}()
-	if err != nil {
-		return err
-	}
-	if want := man.Key.Hash() + partialExt; filepath.Base(path) != want {
-		return fmt.Errorf("filename does not match manifest key (want %s)", want)
-	}
-	// Re-open and run the real load path against the manifest's own key:
-	// a journal is usable exactly when readPartial finds a valid frame.
-	f, err = os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if _, err := readPartial(f, man.Key); err != nil {
-		return err
-	}
-	return nil
+	return nil // a journal is usable when any frame prefix survives
 }

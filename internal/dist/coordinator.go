@@ -1337,11 +1337,11 @@ func (c *Coordinator) handleSweepPut(rw http.ResponseWriter, req *http.Request) 
 	rw.WriteHeader(http.StatusNoContent)
 }
 
-// handlePartialPut accepts a sweep owner's partial journal (partial
-// record bytes). The journal is validated against the run's key
-// before it is kept: a corrupt upload is rejected so the fleet never
-// resumes from garbage — it degrades to an earlier journal or a cold
-// sweep instead.
+// handlePartialPut accepts a sweep owner's journal: the bytes its
+// SetWriter published. The journal is validated against the run's key
+// before it is kept, as uploaded: a corrupt upload is rejected so the
+// fleet never resumes from garbage — it degrades to an earlier journal
+// or a cold sweep instead.
 func (c *Coordinator) handlePartialPut(rw http.ResponseWriter, req *http.Request) {
 	hash := req.PathValue("hash")
 	run, ok := c.activeFor(hash)
@@ -1354,8 +1354,7 @@ func (c *Coordinator) handlePartialPut(rw http.ResponseWriter, req *http.Request
 		http.Error(rw, err.Error(), http.StatusBadRequest)
 		return
 	}
-	rs, err := checkpoint.DecodePartial(bytes.NewReader(raw), run.key)
-	if err != nil {
+	if _, err := checkpoint.DecodePartial(bytes.NewReader(raw), run.key); err != nil {
 		http.Error(rw, err.Error(), http.StatusBadRequest)
 		return
 	}
@@ -1363,17 +1362,17 @@ func (c *Coordinator) handlePartialPut(rw http.ResponseWriter, req *http.Request
 	c.partials[hash] = raw
 	c.mu.Unlock()
 	if store := run.sweeps.Store(); store != nil {
-		if err := store.SavePartial(run.key, rs); err != nil {
+		if err := store.WritePartial(run.key, raw); err != nil {
 			c.logf("dist: persisting partial %s failed: %v", hash, err)
 		}
 	}
 	rw.WriteHeader(http.StatusNoContent)
 }
 
-// handlePartialGet serves the most recent partial journal for a run's
-// sweep, falling back to the store's *.partial file when memory has
-// none (a coordinator restart). 404 when no journal exists: the caller
-// sweeps cold.
+// handlePartialGet serves the most recent journal for a run's sweep,
+// falling back to the store's *.partial file when memory has none (a
+// coordinator restart). 404 when no journal exists: the caller sweeps
+// cold.
 func (c *Coordinator) handlePartialGet(rw http.ResponseWriter, req *http.Request) {
 	hash := req.PathValue("hash")
 	run, ok := c.activeFor(hash)
@@ -1385,12 +1384,9 @@ func (c *Coordinator) handlePartialGet(rw http.ResponseWriter, req *http.Request
 	raw := c.partials[hash]
 	c.mu.Unlock()
 	if store := run.sweeps.Store(); raw == nil && store != nil {
-		rs, err := store.LoadPartial(run.key)
-		if err == nil && rs != nil {
-			var buf bytes.Buffer
-			if err := checkpoint.EncodePartial(&buf, run.key, rs); err == nil {
-				raw = buf.Bytes()
-			}
+		var err error
+		if raw, err = store.ReadPartial(run.key); err != nil {
+			c.logf("dist: reading partial %s failed: %v", hash, err)
 		}
 	}
 	if raw == nil {

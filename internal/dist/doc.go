@@ -87,11 +87,14 @@
 //
 // # Crash-safe sweeps
 //
-// A sweep owner journals its progress: every ResumeInterval keyframes
-// it uploads a partial record (checkpoint.EncodePartial — the same
-// bytes Store.PartialWriter journals locally) to the coordinator,
-// which keeps it in memory and, with a store attached, as a *.partial
-// file that survives coordinator restarts. A worker that wins the
+// A sweep owner journals its progress: it writes the sweep once, into
+// an in-memory checkpoint.SetWriter — the same byte stream a local
+// store-backed sweep stages as its entry and journal — and at the first
+// unit and then every ResumeInterval keyframes uploads the bytes written
+// so far, each upload a prefix of the next. The coordinator validates
+// an upload and keeps it as uploaded, in memory and, with a store
+// attached, as the *.partial file that survives coordinator restarts.
+// The sealed stream, frames included, is the owner's /v1/sweeps upload. A worker that wins the
 // claim after the owner died fetches the journal and resumes the sweep
 // from its last keyframe (checkpoint Params.Resume) instead of
 // restarting at instruction zero; the continued unit stream is

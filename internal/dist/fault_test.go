@@ -8,7 +8,9 @@ package dist
 // work.
 
 import (
+	"bytes"
 	"context"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -288,10 +290,12 @@ func workerURLs(ws []*workerRef) []string {
 	return urls
 }
 
-// TestPartialEndpoints round-trips a journal through the coordinator's
-// partial endpoints and verifies a corrupt upload is rejected without
-// clobbering the good journal — the "corruption degrades, never
-// poisons" half of the resume contract at the fleet layer.
+// TestPartialEndpoints round-trips journals through the coordinator's
+// partial endpoints: the bytes a sweep owner uploads are kept and served
+// as uploaded — by the live coordinator and, from its store, by a
+// restarted one — and a corrupt upload is rejected without clobbering
+// the good journal: the "corruption degrades, never poisons" half of
+// the resume contract at the fleet layer.
 func TestPartialEndpoints(t *testing.T) {
 	prog := testProg(t)
 	cfg := uarch.Config8Way()
@@ -302,45 +306,65 @@ func TestPartialEndpoints(t *testing.T) {
 	hash := key.Hash()
 
 	// Journal a genuine half-sweep so the uploaded bytes validate.
-	var units []*checkpoint.Unit
-	var rs *checkpoint.ResumeState
-	params.OnFrame = func(fr checkpoint.ResumeFrame) {
-		rs = &checkpoint.ResumeState{
-			Units:           units[:fr.Captured],
-			PopulationUnits: prog.Length / params.U,
-			SweepInsts:      fr.SweepInsts,
-			SweepTime:       fr.SweepTime,
-			HaveIBlock:      fr.HaveIBlock,
-			LastIBlock:      fr.LastIBlock,
-		}
-	}
-	_, err := checkpoint.CaptureStream(context.Background(), prog, cfg, params, func(u *checkpoint.Unit) bool {
-		units = append(units, u)
-		return len(units) < 30
+	var journals [][]byte
+	jw := checkpoint.BufferWriter(key, prog.Length/params.U, 1, func(journal []byte) {
+		journals = append(journals, append([]byte(nil), journal...))
 	})
-	if err != nil || rs == nil {
-		t.Fatalf("half-sweep failed: err=%v journal=%v", err, rs != nil)
+	captured := 0
+	_, err := checkpoint.CaptureResumable(context.Background(), prog, cfg, params, jw, func(*checkpoint.Unit) bool {
+		captured++
+		return captured < 30
+	})
+	if err != nil || len(journals) < 2 {
+		t.Fatalf("half-sweep failed: err=%v journals=%d", err, len(journals))
 	}
-
-	coord, err := NewCoordinator(Options{})
+	last := journals[len(journals)-1]
+	want, err := checkpoint.DecodePartial(bytes.NewReader(last), key)
 	if err != nil {
 		t.Fatal(err)
 	}
-	coord.retainRun(hash, key, false)
-	srv := httptest.NewServer(coord.Handler())
-	defer srv.Close()
 
-	w := NewWorker(WorkerOptions{Coordinator: srv.URL, Self: "http://self"})
-	if err := w.uploadPartial(context.Background(), key, rs, nil); err != nil {
-		t.Fatalf("journal upload: %v", err)
+	storeDir := t.TempDir()
+	serve := func() (*Worker, *httptest.Server) {
+		t.Helper()
+		coord, err := NewCoordinator(Options{StoreDir: storeDir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		coord.retainRun(hash, key, false)
+		srv := httptest.NewServer(coord.Handler())
+		return NewWorker(WorkerOptions{Coordinator: srv.URL, Self: "http://self"}), srv
+	}
+	served := func(srv *httptest.Server) []byte {
+		t.Helper()
+		resp, err := http.Get(srv.URL + "/v1/partials/" + hash)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("journal download: %s (%v)", resp.Status, err)
+		}
+		return body
+	}
+
+	w, srv := serve()
+	for _, j := range journals {
+		if err := w.uploadPartial(context.Background(), key, j, nil); err != nil {
+			t.Fatalf("journal upload: %v", err)
+		}
 	}
 	got, err := w.fetchPartial(context.Background(), key)
 	if err != nil || got == nil {
 		t.Fatalf("journal fetch: rs=%v err=%v", got != nil, err)
 	}
-	if len(got.Units) != len(rs.Units) || got.SweepInsts != rs.SweepInsts {
+	if len(got.Units) != len(want.Units) || got.SweepInsts != want.SweepInsts {
 		t.Fatalf("journal round-trip: got %d units @%d insts, want %d @%d",
-			len(got.Units), got.SweepInsts, len(rs.Units), rs.SweepInsts)
+			len(got.Units), got.SweepInsts, len(want.Units), want.SweepInsts)
+	}
+	if !bytes.Equal(served(srv), last) {
+		t.Fatal("the coordinator does not serve the journal bytes it was sent")
 	}
 
 	// A corrupt upload must be rejected (400) and leave the good journal.
@@ -355,7 +379,82 @@ func TestPartialEndpoints(t *testing.T) {
 		t.Fatalf("corrupt journal upload: %s, want 400", resp.Status)
 	}
 	got, err = w.fetchPartial(context.Background(), key)
-	if err != nil || got == nil || len(got.Units) != len(rs.Units) {
+	if err != nil || got == nil || len(got.Units) != len(want.Units) {
 		t.Fatalf("good journal lost after corrupt upload: rs=%v err=%v", got != nil, err)
+	}
+	srv.Close()
+
+	// A restarted coordinator serves the last upload from its store,
+	// byte for byte.
+	_, srv = serve()
+	defer srv.Close()
+	if !bytes.Equal(served(srv), last) {
+		t.Fatal("after a restart the coordinator serves other bytes than the last upload")
+	}
+}
+
+// TestOwnerJournalIsOneStream: the sweep owner writes its sweep once.
+// Each journal upload is a byte prefix of the next, and the last of the
+// sweep upload that follows.
+func TestOwnerJournalIsOneStream(t *testing.T) {
+	prog := testProg(t)
+	cfg := uarch.Config8Way()
+	params := sim.ResolvePlan(testRequest(), prog).CheckpointParams()
+	key := checkpoint.KeyFor(prog, cfg, params)
+	hash := key.Hash()
+
+	coord, err := NewCoordinator(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord.retainRun(hash, key, false)
+	var mu sync.Mutex
+	var journals [][]byte
+	var sweep []byte
+	inner := coord.Handler()
+	srv := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPut {
+			body, err := io.ReadAll(r.Body)
+			if err != nil {
+				http.Error(rw, err.Error(), http.StatusBadRequest)
+				return
+			}
+			mu.Lock()
+			switch {
+			case strings.HasPrefix(r.URL.Path, "/v1/partials/"):
+				journals = append(journals, body)
+			case strings.HasPrefix(r.URL.Path, "/v1/sweeps/"):
+				sweep = body
+			}
+			mu.Unlock()
+			r.Body = io.NopCloser(bytes.NewReader(body))
+		}
+		inner.ServeHTTP(rw, r)
+	}))
+	defer srv.Close()
+
+	w := NewWorker(WorkerOptions{Coordinator: srv.URL, Self: "http://self", Keyframe: 4, ResumeInterval: 1})
+	params.Keyframe = 4
+	set, swept, err := w.ensureSet(context.Background(), key, prog, cfg, params, nil, nil)
+	if err != nil || !swept {
+		t.Fatalf("owner sweep: swept=%v err=%v", swept, err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(journals) < 2 || sweep == nil {
+		t.Fatalf("owner uploaded %d journals and sweep=%v, want several and one", len(journals), sweep != nil)
+	}
+	for i, j := range journals {
+		next := sweep
+		if i+1 < len(journals) {
+			next = journals[i+1]
+		}
+		if len(j) >= len(next) || !bytes.Equal(j, next[:len(j)]) {
+			t.Fatalf("journal upload %d of %d (%d bytes) is not a prefix of the next upload (%d bytes)",
+				i+1, len(journals), len(j), len(next))
+		}
+	}
+	if got, err := checkpoint.DecodeSet(bytes.NewReader(sweep), key); err != nil || len(got.Units) != len(set.Units) {
+		t.Fatalf("sweep upload does not decode to the owner's set (err %v)", err)
 	}
 }

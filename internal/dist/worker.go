@@ -46,10 +46,12 @@ type WorkerOptions struct {
 	// bit-identity.
 	Keyframe int
 	// ResumeInterval is the sweep-journal upload cadence in keyframes
-	// while this worker owns a sweep: every n-th keyframe it uploads its
-	// partial journal to the coordinator, bounding the work lost if it
-	// dies mid-sweep (the next claim winner resumes from the journal).
-	// 0 selects engine.DefaultResumeInterval; negative disables journal
+	// while this worker owns a sweep: the sweep is written once into an
+	// in-memory checkpoint.SetWriter, and at its first unit and then
+	// every n-th keyframe the worker uploads the bytes written so far to
+	// the coordinator, bounding the work lost if it dies mid-sweep (the
+	// next claim winner resumes from the journal). 0 selects
+	// checkpoint.DefaultResumeInterval; negative disables journal
 	// uploads.
 	ResumeInterval int
 	// Retries, RetryBase and RetryMax shape the capped exponential
@@ -374,14 +376,14 @@ func (w *Worker) ensureSet(ctx context.Context, key checkpoint.Key, prog *progra
 			// again.
 			w.logf("dist: sweep fetch %s failed: %v; re-claiming", hash, err)
 		case claimOwner:
-			set, err := w.ownerSweep(ctx, key, prog, cfg, params, leaseNs, onCaptured, onRetry)
+			set, wire, err := w.ownerSweep(ctx, key, prog, cfg, params, leaseNs, onCaptured, onRetry)
 			if err != nil {
 				return nil, false, err
 			}
 			w.sweeps.Add(1)
 			w.cache.Put(key, set)
 			uerr := retry(ctx, w.policy, onRetry.forOp("sweep upload"), func() error {
-				return w.uploadSet(ctx, key, set)
+				return w.uploadSet(ctx, key, wire)
 			})
 			if uerr != nil {
 				// The set is good locally; the fleet just cannot reuse
@@ -403,12 +405,15 @@ func (w *Worker) ensureSet(ctx context.Context, key checkpoint.Key, prog *progra
 }
 
 // ownerSweep runs the functional sweep this worker won the fleet claim
-// for. It resumes from the coordinator's partial journal when a dead
-// previous owner left one (falling back to a cold sweep if the journal
-// does not validate), uploads its own journal every ResumeInterval
-// keyframes so a successor can do the same, and renews the claim lease
-// while it works.
-func (w *Worker) ownerSweep(ctx context.Context, key checkpoint.Key, prog *program.Program, cfg uarch.Config, params checkpoint.Params, leaseNs int64, onCaptured func(int) bool, onRetry retryNotify) (*checkpoint.Set, error) {
+// for and returns it with its entry bytes. It resumes from the
+// coordinator's journal when a dead previous owner left one
+// (checkpoint.CaptureResumable falls back to a cold sweep if the journal
+// does not validate), writes the sweep once into an in-memory
+// checkpoint.SetWriter whose journaled prefixes it uploads as they are
+// sealed — the first frame, then every ResumeInterval keyframes — so a
+// successor can do the same, and renews the claim lease while it works.
+// The sealed buffer is the /v1/sweeps upload.
+func (w *Worker) ownerSweep(ctx context.Context, key checkpoint.Key, prog *program.Program, cfg uarch.Config, params checkpoint.Params, leaseNs int64, onCaptured func(int) bool, onRetry retryNotify) (*checkpoint.Set, []byte, error) {
 	hash := key.Hash()
 	renewCtx, stopRenew := context.WithCancel(ctx)
 	defer stopRenew()
@@ -420,66 +425,44 @@ func (w *Worker) ownerSweep(ctx context.Context, key checkpoint.Key, prog *progr
 		w.logf("dist: partial journal fetch %s failed: %v; sweeping cold", hash, err)
 		rs = nil
 	}
-	interval := engine.Options{ResumeInterval: w.opt.ResumeInterval}.ResumeKeyframes()
-	capture := func(rs *checkpoint.ResumeState) (*checkpoint.Set, error) {
-		set := &checkpoint.Set{K: params.K}
-		params := params
-		params.Resume = rs
-		var counted uint64 // sweep position already added to sweepExec
-		if rs != nil {
-			set.Units = append(set.Units, rs.Units...)
+	params.Resume = rs
+	jw := checkpoint.BufferWriter(key, prog.Length/params.U, w.opt.ResumeInterval, func(journal []byte) {
+		if err := w.uploadPartial(ctx, key, journal, onRetry); err != nil {
+			// Non-fatal: the fleet just has a staler resume point.
+			w.logf("dist: partial journal upload %s failed: %v", hash, err)
+		}
+	})
+	set := &checkpoint.Set{K: params.K}
+	var counted uint64 // sweep position already added to sweepExec
+	params.OnFrame = func(fr checkpoint.ResumeFrame) {
+		// Count executed work frame by frame so a sweep killed
+		// mid-flight still accounts for what it burned.
+		w.sweepExec.Add(fr.SweepInsts - counted)
+		counted = fr.SweepInsts
+	}
+	sum, err := checkpoint.CaptureResumable(ctx, prog, cfg, params, jw, func(u *checkpoint.Unit) bool {
+		// The journaled units come first, unless the journal failed
+		// validation: they were neither executed nor captured here.
+		journaled := rs != nil && len(set.Units) < len(rs.Units) && u == rs.Units[len(set.Units)]
+		set.Units = append(set.Units, u)
+		if journaled {
 			counted = rs.SweepInsts
+		} else if onCaptured != nil {
+			onCaptured(len(set.Units))
 		}
-		kfSince := 0
-		params.OnFrame = func(fr checkpoint.ResumeFrame) {
-			// Count executed work frame by frame so a sweep killed
-			// mid-flight still accounts for what it burned.
-			w.sweepExec.Add(fr.SweepInsts - counted)
-			counted = fr.SweepInsts
-			if interval <= 0 || kfSince < interval {
-				return
-			}
-			kfSince = 0
-			st := &checkpoint.ResumeState{
-				Units:           set.Units[:fr.Captured],
-				PopulationUnits: prog.Length / params.U,
-				SweepInsts:      fr.SweepInsts,
-				SweepTime:       fr.SweepTime,
-				HaveIBlock:      fr.HaveIBlock,
-				LastIBlock:      fr.LastIBlock,
-			}
-			if err := w.uploadPartial(ctx, key, st, onRetry); err != nil {
-				// Non-fatal: the fleet just has a staler resume point.
-				w.logf("dist: partial journal upload %s failed: %v", hash, err)
-			}
-		}
-		sum, err := checkpoint.CaptureStream(ctx, prog, cfg, params, func(u *checkpoint.Unit) bool {
-			set.Units = append(set.Units, u)
-			if u.Mem != nil {
-				kfSince++ // keyframes mark the journal cadence
-			}
-			if onCaptured != nil {
-				onCaptured(len(set.Units))
-			}
-			return true
-		})
-		if err != nil {
-			return nil, err
-		}
-		set.PopulationUnits = sum.PopulationUnits
-		set.SweepInsts = sum.SweepInsts
-		set.SweepTime = sum.SweepTime
-		w.sweepExec.Add(sum.SweepInsts - counted)
-		return set, nil
+		return true
+	})
+	if err != nil {
+		return nil, nil, err
 	}
-	set, err := capture(rs)
-	if err != nil && rs != nil && ctx.Err() == nil {
-		// The journal did not validate against this plan (corruption, a
-		// stale upload): degrade to a cold sweep rather than fail.
-		w.logf("dist: resume from fleet journal %s failed (%v); restarting the sweep cold", hash, err)
-		set, err = capture(nil)
+	set.PopulationUnits = sum.PopulationUnits
+	set.SweepInsts = sum.SweepInsts
+	set.SweepTime = sum.SweepTime
+	w.sweepExec.Add(sum.SweepInsts - counted)
+	if err := jw.Commit(sum.SweepInsts, sum.SweepTime); err != nil {
+		return nil, nil, err
 	}
-	return set, err
+	return set, jw.Bytes(), nil
 }
 
 // renewLease re-claims the sweep as its current owner every `every`,
@@ -558,14 +541,10 @@ func (w *Worker) fetchPartial(ctx context.Context, key checkpoint.Key) (*checkpo
 
 // uploadPartial ships the owner's current journal to the coordinator,
 // retrying transient failures.
-func (w *Worker) uploadPartial(ctx context.Context, key checkpoint.Key, rs *checkpoint.ResumeState, onRetry retryNotify) error {
-	var buf bytes.Buffer
-	if err := checkpoint.EncodePartial(&buf, key, rs); err != nil {
-		return err
-	}
+func (w *Worker) uploadPartial(ctx context.Context, key checkpoint.Key, journal []byte, onRetry retryNotify) error {
 	return retry(ctx, w.policy, onRetry.forOp("journal upload"), func() error {
 		req, err := http.NewRequestWithContext(ctx, http.MethodPut,
-			w.opt.Coordinator+"/v1/partials/"+key.Hash(), bytes.NewReader(buf.Bytes()))
+			w.opt.Coordinator+"/v1/partials/"+key.Hash(), bytes.NewReader(journal))
 		if err != nil {
 			return permanent(err)
 		}
@@ -576,7 +555,7 @@ func (w *Worker) uploadPartial(ctx context.Context, key checkpoint.Key, rs *chec
 		}
 		defer resp.Body.Close()
 		if resp.StatusCode != http.StatusNoContent && resp.StatusCode != http.StatusOK {
-			msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096)) //simlint:discard best-effort error-body snippet for the message //simlint:discard best-effort error-body snippet for the message
+			msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096)) //simlint:discard best-effort error-body snippet for the message
 			err := fmt.Errorf("partial upload: %s: %s", resp.Status, bytes.TrimSpace(msg))
 			if !httpRetryable(resp.StatusCode) {
 				return permanent(err)
@@ -604,13 +583,9 @@ func (w *Worker) fetchSet(ctx context.Context, key checkpoint.Key) (*checkpoint.
 	return checkpoint.DecodeSet(resp.Body, key)
 }
 
-func (w *Worker) uploadSet(ctx context.Context, key checkpoint.Key, set *checkpoint.Set) error {
-	var buf bytes.Buffer
-	if err := checkpoint.EncodeSet(&buf, key, set); err != nil {
-		return err
-	}
+func (w *Worker) uploadSet(ctx context.Context, key checkpoint.Key, wire []byte) error {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPut,
-		w.opt.Coordinator+"/v1/sweeps/"+key.Hash(), bytes.NewReader(buf.Bytes()))
+		w.opt.Coordinator+"/v1/sweeps/"+key.Hash(), bytes.NewReader(wire))
 	if err != nil {
 		return err
 	}

@@ -68,16 +68,16 @@ type Options struct {
 	// the encoding, never the materialized launch states, and is
 	// excluded from the store key.
 	Keyframe int
-	// ResumeInterval controls the crash-safe sweep journal kept
-	// alongside the store: while the streaming sweep runs, the engine
-	// persists a partial-sweep record (checkpoint.PartialWriter) every
-	// ResumeInterval keyframes, and a later run of the same key resumes
-	// an interrupted sweep from the journal instead of restarting at
-	// instruction zero — the resumed unit stream is bit-identical to an
-	// uninterrupted sweep's. 0 selects DefaultResumeInterval; negative
-	// disables journaling and resume. Ignored without a disk tier in
-	// Cache (the journal lives in the store directory) and by
-	// LoadOrCapture.
+	// ResumeInterval controls the crash-safe sweep journal kept in the
+	// store: the streaming sweep's staged entry (checkpoint.SetWriter)
+	// doubles as its journal, sealed under a resume frame at the first
+	// unit and then every ResumeInterval keyframes, and a later run of
+	// the same key resumes an interrupted sweep from the journal instead
+	// of restarting at instruction zero — the resumed unit stream is
+	// bit-identical to an uninterrupted sweep's. 0 selects
+	// checkpoint.DefaultResumeInterval; negative disables journaling and
+	// resume. Ignored without a disk tier in Cache (the journal lives in
+	// the store directory) and by LoadOrCapture.
 	ResumeInterval int
 	// SweepParallelism overrides checkpoint.Params.SweepParallelism when
 	// above 1: the capture sweep runs as that many concurrent stream
@@ -112,25 +112,6 @@ func (o Options) workers() int {
 		return o.Workers
 	}
 	return runtime.GOMAXPROCS(0)
-}
-
-// DefaultResumeInterval is the journal cadence used when
-// Options.ResumeInterval is zero: one partial-sweep commit every 4
-// keyframes keeps the journal I/O a small fraction of capture while
-// bounding the replay window an interruption loses to a few keyframe
-// intervals of units.
-const DefaultResumeInterval = 4
-
-// ResumeKeyframes returns the effective journal cadence of
-// ResumeInterval in keyframes (0 = journaling disabled).
-func (o Options) ResumeKeyframes() int {
-	switch {
-	case o.ResumeInterval == 0:
-		return DefaultResumeInterval
-	case o.ResumeInterval < 0:
-		return 0
-	}
-	return o.ResumeInterval
 }
 
 // UnitResult is the measurement of one sampling unit.
@@ -194,10 +175,10 @@ const streamBuffer = 4
 //
 // ctx cancels the whole pipeline: the sweep stops at its next chunk
 // boundary, workers finish only their in-flight unit, the store writer
-// aborts its staged entry (a committed entry is always a complete
-// sweep), and Run returns ctx.Err(). With resume journaling enabled
-// (Options.ResumeInterval), the interrupted sweep's progress is
-// committed to a partial-sweep journal beside the store entries first,
+// never commits its staged entry (a committed entry is always a
+// complete sweep), and Run returns ctx.Err(). With resume journaling
+// enabled (Options.ResumeInterval), the staged entry stays in the
+// store as the sweep's journal, sealed through its last captured unit,
 // so rerunning the same key continues the sweep instead of restarting
 // it. A nil ctx is treated as context.Background().
 func Run(ctx context.Context, prog *program.Program, cfg uarch.Config, p checkpoint.Params, opt Options) (*Result, error) {
@@ -353,8 +334,8 @@ func replaySet(ctx context.Context, prog *program.Program, cfg uarch.Config, u u
 
 // replayStreaming overlaps the capture sweep with replay: the sweep
 // goroutine emits each unit into the pipeline the moment its snapshot
-// is taken, and commits the stream to the sweep cache when one is
-// attached.
+// is taken, and streams it to the sweep cache when one is attached —
+// committed when the sweep completes, journaled for a resume when not.
 func replayStreaming(ctx context.Context, prog *program.Program, cfg uarch.Config, p checkpoint.Params, key checkpoint.Key, opt Options, start time.Time) (*Result, error) {
 	col := newCollector(ctx, prog, cfg, p.U, opt.workers(), opt, 0)
 
@@ -364,53 +345,18 @@ func replayStreaming(ctx context.Context, prog *program.Program, cfg uarch.Confi
 	}
 	sweepc := make(chan sweepOut, 1)
 	go func() {
-		sw := opt.Cache.Writer(key, prog.Length/p.U)
-		store := opt.Cache.Store()
-		// Crash-safe resume: load any partial-sweep journal left by an
-		// interrupted run of this key, and stage a fresh journal this
-		// sweep commits its own progress into (the previously journaled
-		// units are re-added so the new journal is self-contained).
-		var pw *checkpoint.PartialWriter
-		var rs *checkpoint.ResumeState
-		if ri := opt.ResumeKeyframes(); store != nil && ri > 0 && p.SweepParallelism <= 1 {
-			var rerr error
-			if rs, rerr = checkpoint.Resume(store, key); rerr != nil {
+		sw := opt.Cache.Writer(key, prog.Length/p.U, opt.ResumeInterval)
+		// Crash-safe resume: continue from the journal an interrupted run
+		// of this key left in the store (a serial-sweep feature).
+		if store := opt.Cache.Store(); store != nil && opt.ResumeInterval >= 0 && p.SweepParallelism <= 1 {
+			rs, rerr := store.LoadPartial(key)
+			if rerr != nil {
 				store.Log("checkpoint store: resume unavailable: %v", rerr)
-				rs = nil
-			}
-			if pw0, perr := store.PartialWriter(key, prog.Length/p.U); perr != nil {
-				store.Log("checkpoint store: not journaling: %v", perr)
-			} else {
-				pw = pw0
 			}
 			p.Resume = rs
 		}
-		// journalFail stops journaling after a write error. The failed
-		// writer has already cleaned up after itself; a journal from an
-		// earlier run that this writer never replaced stays usable.
-		journalFail := func(werr error) {
-			store.Log("checkpoint store: sweep journal failed: %v", werr)
-			pw = nil
-		}
-
 		captured := 0
-		kfSince := 0 // keyframes captured since the last journal commit
-		var lastFrame checkpoint.ResumeFrame
-		framePending := false
-		// The journaled units enter the pipeline (and the writers) ahead
-		// of the first newly captured unit — after CaptureStream validated
-		// the journal against the plan, so an unusable journal feeds
-		// nothing and the sweep can restart cold below.
-		fedResumed := rs == nil
-		// push writes cu through to the sweep cache and the journal, then
-		// feeds it to the pipeline; false once the pipeline has quit.
-		push := func(cu *checkpoint.Unit) bool {
-			sw.Add(cu)
-			if pw != nil {
-				if werr := pw.Add(cu); werr != nil {
-					journalFail(werr)
-				}
-			}
+		sum, err := checkpoint.CaptureResumable(ctx, prog, cfg, p, sw, func(cu *checkpoint.Unit) bool {
 			select {
 			case col.feed <- cu:
 				captured++
@@ -421,76 +367,15 @@ func replayStreaming(ctx context.Context, prog *program.Program, cfg uarch.Confi
 			case <-col.quit:
 				return false
 			}
-		}
-		feedResumed := func() bool {
-			fedResumed = true
-			for _, cu := range rs.Units {
-				if !push(cu) {
-					return false
-				}
-			}
-			return true
-		}
-		p.OnFrame = func(fr checkpoint.ResumeFrame) {
-			lastFrame, framePending = fr, true
-			if pw != nil && kfSince >= opt.ResumeKeyframes() {
-				if werr := pw.Checkpoint(fr); werr != nil {
-					journalFail(werr)
-				} else {
-					kfSince, framePending = 0, false
-				}
-			}
-		}
-		emit := func(cu *checkpoint.Unit) bool {
-			if !fedResumed && !feedResumed() {
-				return false
-			}
-			if cu.Mem != nil {
-				kfSince++
-			}
-			return push(cu)
-		}
-		sum, err := checkpoint.CaptureStream(ctx, prog, cfg, p, emit)
-		if err != nil && p.Resume != nil && !fedResumed && ctx.Err() == nil {
-			// The journal failed resume validation before anything entered
-			// the pipeline: drop it and sweep cold rather than failing a
-			// run a cold sweep can still complete.
-			store.Log("checkpoint store: dropping unusable partial %s: %v", key.Hash(), err)
-			store.DropPartial(key)
-			p.Resume, rs = nil, nil
-			fedResumed = true
-			sum, err = checkpoint.CaptureStream(ctx, prog, cfg, p, emit)
-		}
-		if err == nil && sum.Complete && !fedResumed {
-			// The journal already covered every boundary: no new unit was
-			// captured, so the resumed units enter the pipeline here.
-			feedResumed()
-		}
+		})
 		close(col.feed)
 		if err == nil && sum.Complete {
 			sw.Commit(p.K, sum)
 		} else {
-			sw.Abort()
-		}
-		if pw != nil {
-			if err == nil && sum.Complete {
-				// The committed entry supersedes the journal.
-				pw.Discard()
-			} else {
-				// Interrupted (cancel, early stop, failure): commit the
-				// journal through the last captured unit and keep it, so a
-				// rerun of this key resumes here instead of restarting.
-				if framePending && fedResumed {
-					if werr := pw.Checkpoint(lastFrame); werr != nil {
-						journalFail(werr)
-					}
-				}
-				if pw != nil {
-					if werr := pw.Close(); werr != nil {
-						store.Log("checkpoint store: sweep journal close failed: %v", werr)
-					}
-				}
-			}
+			// Interrupted (cancel, early stop, failure): the journal keeps
+			// the sweep through its last captured unit, so a rerun of this
+			// key resumes here instead of restarting.
+			sw.Suspend()
 		}
 		sweepc <- sweepOut{sum, err}
 	}()

@@ -3,6 +3,9 @@ package engine_test
 import (
 	"context"
 	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/checkpoint"
@@ -168,7 +171,7 @@ func TestEngineResumeCorruptJournalFallsBack(t *testing.T) {
 	}
 
 	key := checkpoint.KeyFor(p, cfg, params)
-	rs, err := checkpoint.Resume(store, key)
+	rs, err := store.LoadPartial(key)
 	if err != nil || rs == nil {
 		t.Fatalf("no journal (rs=%v err=%v)", rs != nil, err)
 	}
@@ -183,16 +186,16 @@ func TestEngineResumeCorruptJournalFallsBack(t *testing.T) {
 	// must reject it and the run restart cold.
 	rs.Units[0].Index += 3
 	store.DropPartial(key)
-	pw, err := store.PartialWriter(key, p.Length/params.U)
+	w, err := store.Writer(key, p.Length/params.U, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, u := range rs.Units {
-		if err := pw.Add(u); err != nil {
+		if err := w.Add(u); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := pw.Checkpoint(checkpoint.ResumeFrame{
+	if err := w.Frame(checkpoint.ResumeFrame{
 		Captured:   len(rs.Units),
 		SweepInsts: rs.SweepInsts,
 		SweepTime:  rs.SweepTime,
@@ -201,7 +204,7 @@ func TestEngineResumeCorruptJournalFallsBack(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := pw.Close(); err != nil {
+	if err := w.Suspend(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -213,4 +216,69 @@ func TestEngineResumeCorruptJournalFallsBack(t *testing.T) {
 		t.Fatal("poisoned journal was resumed")
 	}
 	resultsEqual(t, "cold fallback", res, baseline)
+}
+
+// TestEngineJournalIsStagedEntry: a journaled store-backed run writes
+// its sweep once. While it runs, the store directory holds one staged
+// file — the temp name and the published *.partial journal are links to
+// it — and the entry committed at the end is that same file.
+func TestEngineJournalIsStagedEntry(t *testing.T) {
+	p := genProg(t, "gzipx", 200_000)
+	cfg := uarch.Config8Way()
+	params := checkpoint.Params{U: 1000, W: 1000, K: 10, J: 0, FunctionalWarm: true}
+	dir := t.TempDir()
+	store, err := checkpoint.OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := checkpoint.KeyFor(p, cfg, params)
+	var journal os.FileInfo
+	var failure string
+	opt := engine.Options{Workers: 2, Cache: checkpoint.DiskCache(store), Keyframe: 4, ResumeInterval: 1}
+	opt.OnCaptured = func(captured int) {
+		names, err := filepath.Glob(filepath.Join(dir, "*"))
+		if err != nil {
+			failure = err.Error()
+			return
+		}
+		var files []os.FileInfo
+		for _, name := range names {
+			fi, err := os.Stat(name)
+			if err != nil {
+				failure = err.Error()
+				return
+			}
+			files = append(files, fi)
+			if filepath.Base(name) == key.Hash()+".partial" {
+				journal = fi
+			}
+		}
+		for _, fi := range files {
+			if !os.SameFile(fi, files[0]) && failure == "" {
+				failure = fmt.Sprintf("at %d units the store holds two files: %v", captured, names)
+			}
+		}
+	}
+	if _, err := engine.Run(context.Background(), p, cfg, params, opt); err != nil {
+		t.Fatal(err)
+	}
+	if failure != "" {
+		t.Fatal(failure)
+	}
+	if journal == nil {
+		t.Fatal("no journal was published during the sweep")
+	}
+	entry, err := os.Stat(filepath.Join(dir, key.Hash()+".ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !os.SameFile(journal, entry) {
+		t.Fatal("the committed entry is not the file the sweep journaled")
+	}
+	if left, _ := filepath.Glob(filepath.Join(dir, "*.partial")); len(left) != 0 {
+		t.Fatalf("journal survived the commit: %v", left)
+	}
+	if left, _ := filepath.Glob(filepath.Join(dir, "*.tmp-*")); len(left) != 0 {
+		t.Fatalf("staged files survived the commit: %v", left)
+	}
 }

@@ -179,13 +179,13 @@ func WithSweepOverlap(n int64) Option {
 }
 
 // WithResumeInterval sets the crash-safe sweep journal cadence: with a
-// store attached, an in-progress functional sweep journals its position
-// and captured units every n keyframes, so a run killed or cancelled
-// mid-sweep resumes from the journal when the same request reruns —
-// producing a unit stream (and therefore a report) bit-identical to an
-// uninterrupted run. 0 keeps the built-in default cadence
-// (engine.DefaultResumeInterval keyframes); negative disables
-// journaling and resume. Sessions without a store never journal.
+// store attached, the entry a functional sweep stages is its journal,
+// sealed every n keyframes, so a run killed or cancelled mid-sweep
+// resumes from the journal when the same request reruns — producing a
+// report bit-identical to an uninterrupted run. 0 keeps the built-in
+// default (checkpoint.DefaultResumeInterval keyframes); negative
+// disables journaling and resume. Sessions without a store never
+// journal.
 func WithResumeInterval(n int) Option {
 	return func(s *settings) error {
 		s.resumeInt = n
