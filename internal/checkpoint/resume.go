@@ -290,18 +290,20 @@ func (rs *ResumeState) frame() ResumeFrame {
 // runs cold. Each captured unit is emitted and then, when emit accepts
 // it, added to j; each frame goes to j (which journals it at its
 // cadence) and then to p.OnFrame. emit returning false stops the sweep
-// as in CaptureStream. The caller ends j: a complete summary is ready to
-// commit, anything else to suspend.
+// as in CaptureStream, and a cancelled ctx returns ctx.Err() wherever it
+// stops the sweep, the journaled units included. The caller ends j: a
+// complete summary is ready to commit, anything else to suspend.
 func CaptureResumable(ctx context.Context, prog *program.Program, cfg uarch.Config, p Params, j Journal, emit func(*Unit) bool) (*Summary, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	rs := p.Resume
 	fed := rs == nil
+	var feedErr error // why feed stopped early, when ctx stopped it
 	feed := func() bool {
 		fed = true
 		for _, u := range rs.Units {
-			if ctx.Err() != nil || !emit(u) {
+			if feedErr = ctx.Err(); feedErr != nil || !emit(u) {
 				return false
 			}
 			j.Add(u)
@@ -338,6 +340,12 @@ func CaptureResumable(ctx context.Context, prog *program.Program, cfg uarch.Conf
 		// The journal already covered every boundary, and the consumer
 		// stopped while taking its units.
 		sum.Complete = false
+	}
+	if err == nil && feedErr != nil {
+		// Cancelled while feeding the journaled units: end as
+		// CaptureStream ends on cancellation, so no caller mistakes the
+		// cut stream for an early stop.
+		err = feedErr
 	}
 	return sum, err
 }

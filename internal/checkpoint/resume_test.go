@@ -2,6 +2,7 @@ package checkpoint_test
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -85,14 +86,19 @@ func journaledEntry(t testing.TB, prog *program.Program, cfg uarch.Config, param
 // resuming from the crash-safe journal — must produce exactly the unit
 // stream of an uninterrupted sweep: same launch geometry, arch state,
 // memory, and warm state, and the same total sweep-instruction
-// accounting. Runs warmed and cold.
+// accounting. Runs warmed and cold, and warmed on a store whose
+// filesystem has no hard links (the journal is then a copy renewed at
+// every frame).
 func TestResumeMatchesUninterruptedSweep(t *testing.T) {
-	for _, warm := range []bool{true, false} {
-		name := "warm"
-		if !warm {
-			name = "cold"
-		}
-		t.Run(name, func(t *testing.T) {
+	for _, tc := range []struct {
+		name        string
+		warm, links bool
+	}{{"warm", true, true}, {"cold", false, true}, {"warm-without-hard-links", true, false}} {
+		warm := tc.warm
+		t.Run(tc.name, func(t *testing.T) {
+			if !tc.links {
+				defer checkpoint.WithoutHardLinks()()
+			}
 			p := genProg(t, "gccx", 300_000)
 			cfg := uarch.Config8Way()
 			params := checkpoint.Params{U: 1000, W: 2000, K: 10, FunctionalWarm: warm, Keyframe: 4}
@@ -158,6 +164,11 @@ func TestResumeMatchesUninterruptedSweep(t *testing.T) {
 					if rs == nil {
 						t.Fatalf("round %d: interrupted sweep left no usable journal", round)
 					}
+					// The suspended journal holds every unit the sweep
+					// accepted before the cut.
+					if len(rs.Units) != len(combined)-1 {
+						t.Fatalf("round %d: journal holds %d units, the sweep accepted %d", round, len(rs.Units), len(combined)-1)
+					}
 				}
 			}
 		})
@@ -187,6 +198,72 @@ func TestResumeRejectsInconsistentJournal(t *testing.T) {
 		func(*checkpoint.Unit) bool { t.Fatal("emitted a unit from an inconsistent journal"); return false })
 	if err == nil {
 		t.Fatal("inconsistent journal resumed without error")
+	}
+}
+
+// TestResumeCancelledWhileFeeding: a cancellation that lands while the
+// journaled units are being fed ends the resumed sweep with ctx.Err(),
+// as one anywhere in CaptureStream does — whether the sweep still has
+// units to capture or the journal already covers every boundary — so
+// no caller takes the cut stream for a finished or early-stopped sweep.
+func TestResumeCancelledWhileFeeding(t *testing.T) {
+	p := genProg(t, "gzipx", 200_000)
+	cfg := uarch.Config8Way()
+	params := checkpoint.Params{U: 1000, W: 1000, K: 10, FunctionalWarm: true}
+	key := checkpoint.KeyFor(p, cfg, params)
+	// journal suspends a sweep cut after stopAfter units (0: never) and
+	// loads the journal it left.
+	journal := func(stopAfter int) (*checkpoint.ResumeState, *checkpoint.Summary) {
+		t.Helper()
+		store, err := checkpoint.OpenStore(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := store.Writer(key, p.Length/params.U, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		sum, err := checkpoint.CaptureResumable(context.Background(), p, cfg, params, w, func(*checkpoint.Unit) bool {
+			n++
+			return stopAfter == 0 || n < stopAfter
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Suspend(); err != nil {
+			t.Fatal(err)
+		}
+		rs, err := store.LoadPartial(key)
+		if err != nil || rs == nil {
+			t.Fatalf("no journal (rs=%v err=%v)", rs != nil, err)
+		}
+		return rs, sum
+	}
+	mid, _ := journal(5)
+	whole, sum := journal(0)
+	if len(whole.Units) != sum.Captured {
+		t.Fatalf("whole-sweep journal holds %d of %d units", len(whole.Units), sum.Captured)
+	}
+	for _, tc := range []struct {
+		name string
+		rs   *checkpoint.ResumeState
+	}{{"mid-sweep", mid}, {"whole sweep", whole}} {
+		ctx, cancel := context.WithCancel(context.Background())
+		params := params
+		params.Resume = tc.rs
+		fed := 0
+		sum, err := checkpoint.CaptureResumable(ctx, p, cfg, params, checkpoint.BufferWriter(key, p.Length/params.U, 1, nil),
+			func(*checkpoint.Unit) bool {
+				fed++
+				cancel()
+				return true
+			})
+		cancel()
+		if !errors.Is(err, context.Canceled) || sum == nil || sum.Complete || fed != 1 {
+			t.Fatalf("%s journal cancelled while fed: err=%v complete=%v fed=%d, want context.Canceled after one unit",
+				tc.name, err, sum != nil && sum.Complete, fed)
+		}
 	}
 }
 

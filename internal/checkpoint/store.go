@@ -547,13 +547,14 @@ func newSetEncoder(w io.Writer, k Key, pop uint64) (*setEncoder, error) {
 // A store writer (Store.Writer) stages the stream in a temp file of its
 // own. Its first frame publishes the file as <hash>.partial: a hard link
 // renamed into place, so journal and staged entry stay one file and a
-// crash at any byte leaves a journal whose frame prefix is intact.
+// crash at any byte leaves a journal whose frame prefix is intact
+// (without hard links, a copy renewed at every journaled frame).
 // Commit renames the staged file to <hash>.ckpt and removes the journal
 // only while it is still this writer's (os.SameFile), so a concurrent
 // writer of the same key keeps the journal it published meanwhile.
 // Suspend ends an interrupted sweep: it journals the last frame offered
-// and keeps the journal. Abort removes everything the writer created.
-// Exactly one of Commit, Suspend and Abort must be called.
+// and keeps the journal; a writer that journaled nothing leaves nothing
+// behind. Exactly one of Commit and Suspend must be called.
 //
 // A buffer writer (BufferWriter) keeps the stream in memory and hands
 // every published prefix to a callback; after Commit, Bytes is the
@@ -570,6 +571,7 @@ type SetWriter struct {
 	key     Key
 	f       *os.File
 	journal os.FileInfo // the published <hash>.partial, nil until the first frame
+	copied  bool        // the journal is a copy: the store has no hard links
 
 	// Buffer writers.
 	buf     *bytes.Buffer
@@ -842,7 +844,7 @@ func (w *SetWriter) seal() error {
 		if w.publish != nil {
 			w.publish(w.buf.Bytes())
 		}
-	case w.journal == nil:
+	case w.journal == nil || w.copied:
 		if err := w.publishJournal(); err != nil {
 			// The entry is still good; only the journal is lost.
 			w.store.Log("checkpoint store: not journaling %s: %v", w.key.Hash(), err)
@@ -854,22 +856,51 @@ func (w *SetWriter) seal() error {
 
 // publishJournal installs the staged file as the key's journal: a hard
 // link under a temp name, renamed over <hash>.partial so a reader never
-// sees a half-installed journal.
+// sees a half-installed journal. On a filesystem without hard links
+// (some network, FUSE and shared-folder mounts) it publishes a copy of
+// the flushed stream instead, renewed at every journaled frame: resume
+// still works, at the cost of one copy per frame.
 func (w *SetWriter) publishJournal() error {
-	fi, err := w.f.Stat()
+	tmp := w.f.Name() + ".link"
+	if w.copied || hardLink(w.f.Name(), tmp) != nil {
+		if err := copyFile(tmp, w.f.Name()); err != nil {
+			os.Remove(tmp)
+			return err
+		}
+		w.copied = true
+	}
+	fi, err := os.Stat(tmp)
+	if err == nil {
+		err = os.Rename(tmp, w.store.partialPath(w.key))
+	}
 	if err != nil {
-		return err
-	}
-	link := w.f.Name() + ".link"
-	if err := os.Link(w.f.Name(), link); err != nil {
-		return err
-	}
-	if err := os.Rename(link, w.store.partialPath(w.key)); err != nil {
-		os.Remove(link)
+		os.Remove(tmp)
 		return err
 	}
 	w.journal = fi
 	return nil
+}
+
+// hardLink is os.Link; tests replace it to model a filesystem without
+// hard links.
+var hardLink = os.Link
+
+// copyFile writes a copy of the file src to dst.
+func copyFile(dst, src string) error {
+	in, err := os.Open(src)
+	if err != nil {
+		return err
+	}
+	defer in.Close()
+	out, err := os.Create(dst)
+	if err != nil {
+		return err
+	}
+	_, err = io.Copy(out, in)
+	if cerr := out.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // Commit seals the entry with the sweep totals. A store writer installs
@@ -903,8 +934,9 @@ func (w *SetWriter) Commit(sweepInsts uint64, sweepTime time.Duration) error {
 }
 
 // Suspend ends an interrupted sweep: the last frame offered is
-// journaled, and a store writer's journal stays for a later resume
-// (a writer that journaled nothing leaves nothing behind).
+// journaled, and a store writer's journal stays for a later resume. A
+// writer that journaled nothing leaves nothing behind, so Suspend is
+// also how a staged entry is discarded.
 func (w *SetWriter) Suspend() error {
 	w.seal()
 	if w.journal != nil && w.err == nil {
@@ -917,15 +949,6 @@ func (w *SetWriter) Suspend() error {
 		w.err = fmt.Errorf("checkpoint: store write suspended")
 	}
 	return err
-}
-
-// Abort discards the staged entry and its journal.
-func (w *SetWriter) Abort() {
-	w.closeFile()
-	w.dropJournal()
-	if w.err == nil {
-		w.err = fmt.Errorf("checkpoint: store write aborted")
-	}
 }
 
 // Save writes an already-collected Set under k, frame-free (the

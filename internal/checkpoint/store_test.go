@@ -558,14 +558,20 @@ func TestStoreStreamingWriter(t *testing.T) {
 		t.Fatalf("reload after streamed save failed (%v)", loaded)
 	}
 
-	// Aborted writers leave nothing behind.
+	// A writer suspended before its first frame leaves nothing behind.
 	w2, err := store.Writer(key, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w2.Abort()
+	if err := w2.Add(loaded.Units[0]); err != nil {
+		t.Fatal(err)
+	}
+	if err := w2.Suspend(); err != nil {
+		t.Fatal(err)
+	}
 	leftovers, _ := filepath.Glob(filepath.Join(store.Dir(), "*.tmp-*"))
-	if len(leftovers) != 0 {
-		t.Fatalf("aborted writer left temp files: %v", leftovers)
+	partials, _ := filepath.Glob(filepath.Join(store.Dir(), "*.partial"))
+	if len(leftovers)+len(partials) != 0 {
+		t.Fatalf("a writer suspended unjournaled left files: %v %v", leftovers, partials)
 	}
 }

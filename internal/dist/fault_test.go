@@ -13,8 +13,10 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -456,5 +458,85 @@ func TestOwnerJournalIsOneStream(t *testing.T) {
 	}
 	if got, err := checkpoint.DecodeSet(bytes.NewReader(sweep), key); err != nil || len(got.Units) != len(set.Units) {
 		t.Fatalf("sweep upload does not decode to the owner's set (err %v)", err)
+	}
+}
+
+// feedCancelCtx is a context that cancels itself the first time the
+// journal feed of checkpoint.CaptureResumable polls it, so a test can
+// land a cancellation exactly while a resumed sweep emits its journaled
+// units.
+type feedCancelCtx struct {
+	context.Context
+	cancel context.CancelFunc
+	fired  atomic.Bool
+}
+
+func (c *feedCancelCtx) Err() error {
+	// The feed is the one closure of CaptureResumable that polls ctx.
+	if pc, _, _, ok := runtime.Caller(1); ok && strings.Contains(runtime.FuncForPC(pc).Name(), "checkpoint.CaptureResumable.func") {
+		c.fired.Store(true)
+		c.cancel()
+	}
+	return c.Context.Err()
+}
+
+// TestOwnerSweepCancelledWhileFeeding: a sweep owner resuming a fleet
+// journal and cancelled (a coordinator kill, a lease handoff) while it
+// emits the journaled units must fail the sweep — never cache or upload
+// a set with units missing.
+func TestOwnerSweepCancelledWhileFeeding(t *testing.T) {
+	prog := testProg(t)
+	cfg := uarch.Config8Way()
+	params := sim.ResolvePlan(testRequest(), prog).CheckpointParams()
+	params.Keyframe = 4
+	key := checkpoint.KeyFor(prog, cfg, params)
+	hash := key.Hash()
+
+	var journal []byte
+	jw := checkpoint.BufferWriter(key, prog.Length/params.U, 1, func(j []byte) {
+		journal = append(journal[:0], j...)
+	})
+	captured := 0
+	if _, err := checkpoint.CaptureResumable(context.Background(), prog, cfg, params, jw, func(*checkpoint.Unit) bool {
+		captured++
+		return captured < 30
+	}); err != nil || journal == nil {
+		t.Fatalf("half-sweep failed: err=%v journal=%v", err, journal != nil)
+	}
+
+	coord, err := NewCoordinator(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord.retainRun(hash, key, false)
+	var sweeps atomic.Int32
+	inner := coord.Handler()
+	srv := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPut && strings.HasPrefix(r.URL.Path, "/v1/sweeps/") {
+			sweeps.Add(1)
+		}
+		inner.ServeHTTP(rw, r)
+	}))
+	defer srv.Close()
+	w := NewWorker(WorkerOptions{Coordinator: srv.URL, Self: "http://self", Keyframe: 4, ResumeInterval: 1})
+	if err := w.uploadPartial(context.Background(), key, journal, nil); err != nil {
+		t.Fatal(err)
+	}
+
+	ctx := &feedCancelCtx{}
+	ctx.Context, ctx.cancel = context.WithCancel(context.Background())
+	defer ctx.cancel()
+	set, _, err := w.ensureSet(ctx, key, prog, cfg, params, nil, nil)
+	if !ctx.fired.Load() {
+		t.Fatal("the owner never fed the fleet journal")
+	}
+	if err == nil || set != nil {
+		t.Fatalf("owner sweep cancelled while feeding the journal: set=%v err=%v, want an error", set != nil, err)
+	}
+	if cached, _ := w.cache.Get(key); cached != nil { //simlint:discard a memory-only cache never fails
+		t.Fatal("the cut sweep was cached")
+	}
+	if n := sweeps.Load(); n != 0 {
+		t.Fatalf("the cut sweep was uploaded %d times", n)
 	}
 }

@@ -455,6 +455,11 @@ func (w *Worker) ownerSweep(ctx context.Context, key checkpoint.Key, prog *progr
 	if err != nil {
 		return nil, nil, err
 	}
+	if !sum.Complete {
+		// Never cache or upload a cut sweep: every later shard of the
+		// key would replay it with units missing.
+		return nil, nil, fmt.Errorf("dist: sweep %s stopped before its end (%d units captured)", hash, sum.Captured)
+	}
 	set.PopulationUnits = sum.PopulationUnits
 	set.SweepInsts = sum.SweepInsts
 	set.SweepTime = sum.SweepTime
